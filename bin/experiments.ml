@@ -138,10 +138,11 @@ let e2 ~duration_s ~domain_list =
      [BS77] subtree-locking degenerate case), so it holds that latch across\n\
      every I/O. In the I/O-bound setting the buffer pool is smaller than the\n\
      working set and each miss blocks the calling domain for the simulated\n\
-     device latency. NOTE: this host exposes a single CPU, so the in-memory\n\
-     rows measure scheduling overhead only; the concurrency claim shows up in\n\
-     the I/O-bound rows, where the link protocol overlaps waits and coarse\n\
-     locking serializes them.";
+     device latency. The in-memory rows scale only up to the host's CPU\n\
+     count; the concurrency claim shows up in the I/O-bound rows, where the\n\
+     link protocol overlaps waits and coarse locking serializes them.";
+  Printf.printf "This host recommends %d domains (Domain.recommended_domain_count).\n"
+    (Domain.recommended_domain_count ());
   List.iter
     (fun (label, io_delay_ns, pool_capacity) ->
       Printf.printf "\n%s (I/O delay %d ns, pool %d frames)\n" label io_delay_ns pool_capacity;
@@ -1216,14 +1217,16 @@ let e15 ~duration_s ~domain_list =
      160-frame pool over a 20k-key tree), read-mostly mixes. Both variants\n\
      run the full link protocol; the only difference is the search path's\n\
      internal-node visits — latch-free under the frame version word (olc)\n\
-     versus per-node S latches (s-latch). Each olc cell reports the\n\
+     versus per-node S latches (s-latch, olc_retries = 0, so every one of\n\
+     its visits counts as an olc.fallback). Each olc cell reports the\n\
      olc.read_attempt/restart/fallback deltas and both variants report\n\
      latch.wait (the contention evidence): with OLC on, readers should not\n\
      appear in latch queues at all on internal nodes. Raw curves land in\n\
      BENCH_5.json.";
   let io_delay_ns = 200_000 and pool_capacity = 160 in
   let cell ~olc ~read_pct ~domains =
-    let config = { small_tree_config with Db.io_delay_ns; pool_capacity; olc } in
+    let olc_retries = if olc then Db.default_config.Db.olc_retries else 0 in
+    let config = { small_tree_config with Db.io_delay_ns; pool_capacity; olc_retries } in
     let db, t = make_btree ~config () in
     Workload.Btree.preload db t ~n:20_000;
     let body ~worker ~rng ~txn =

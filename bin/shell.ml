@@ -93,14 +93,6 @@ let cmd_stats s =
   Printf.printf "preds  : %d live predicates, %d attachments\n"
     (Gist_pred.Predicate_manager.total_predicates (Gist.predicate_manager s.tree))
     (Gist_pred.Predicate_manager.total_attachments (Gist.predicate_manager s.tree));
-  let st = Gist.stats s.tree in
-  Printf.printf
-    "ops    : %d searches, %d inserts, %d deletes; %d splits, %d root grows,\n\
-    \         %d BP updates, %d rightlink follows, %d GC'd entries,\n\
-    \         %d node deletes, %d predicate blocks\n"
-    st.Gist.searches st.Gist.inserts st.Gist.deletes st.Gist.splits st.Gist.root_grows
-    st.Gist.bp_updates st.Gist.rightlink_follows st.Gist.gc_entries st.Gist.node_deletes
-    st.Gist.pred_blocks;
   print_endline "metrics:";
   print_string (Metrics.render_text (Metrics.snapshot ()))
 

@@ -15,7 +15,7 @@ type 'p t = {
   tid : Txn_id.t;
   query : 'p;
   spred : 'p Pm.pred;
-  mutable stack : (Page_id.t * Lsn.t) list;
+  stack : (Page_id.t * Lsn.t) list ref;
   mutable buffered : 'p pending list;
   mutable seen : (Rid.t, unit) Hashtbl.t;
   sig_counts : (int, int) Hashtbl.t; (* page -> hold count *)
@@ -63,7 +63,7 @@ let open_ tree txn query =
       tid;
       query;
       spred;
-      stack = [];
+      stack = ref [];
       buffered = [];
       seen = Hashtbl.create 32;
       sig_counts = Hashtbl.create 32;
@@ -72,53 +72,36 @@ let open_ tree txn query =
       closed = false;
     }
   in
-  sig_acquire c (Gist.root tree);
-  c.stack <- [ (Gist.root tree, Db.global_nsn (Gist.db tree)) ];
+  c.stack := Gist.start_scan tree ~sig_lock:(sig_acquire c);
   c
 
-(* Visit the next stack node: push consistent children (or the rightlink of
-   a missed split), buffer qualifying leaf entries. Mirrors Figure 3. *)
+(* Visit the next stack node (Figure 3): its consistent children (or the
+   rightlink of a missed split) go on the stack, its consistent unseen
+   leaf entries into the buffer. *)
 let advance c =
-  match c.stack with
+  match !(c.stack) with
   | [] -> ()
-  | (pid, memo) :: rest ->
-    c.stack <- rest;
-    let fresh = ref [] in
-    Buffer_pool.with_page (db c).Db.pool pid Latch.S (fun frame ->
-        match Node.get (ext c) frame with
-        | exception Codec.Corrupt _ -> () (* retired page; nothing here *)
-        | node ->
-          if Lsn.( < ) memo node.Node.nsn && Page_id.is_valid node.Node.rightlink then begin
-            sig_acquire c node.Node.rightlink;
-            c.stack <- (node.Node.rightlink, memo) :: c.stack
-          end;
-          Pm.attach (Gist.predicate_manager c.tree) c.spred pid;
-          if Node.is_leaf node then
-            Dyn.iter
-              (fun e ->
-                if
-                  (ext c).Ext.consistent c.query e.Node.le_key
-                  && not (Hashtbl.mem c.seen e.Node.le_rid)
-                then fresh := { p_key = e.Node.le_key; p_rid = e.Node.le_rid; p_leaf = pid } :: !fresh)
-              (Node.leaf_entries node)
-          else begin
-            let child_memo =
-              match (db c).Db.config.Db.memo_source with
-              | Db.Memo_parent_lsn -> Buffer_pool.page_lsn frame
-              | Db.Memo_global -> Db.global_nsn (db c)
-            in
-            Dyn.iter
-              (fun e ->
-                if (ext c).Ext.consistent c.query e.Node.ie_bp then begin
-                  sig_acquire c e.Node.ie_child;
-                  c.stack <- (e.Node.ie_child, child_memo) :: c.stack
-                end)
-              (Node.internal_entries node)
-          end);
-    Gist.prefetch_pending c.tree c.stack;
-    (match !fresh with
-    | [] -> sig_release c pid
-    | entries ->
+  | ((pid, _) as entry) :: rest -> (
+    c.stack := rest;
+    let leaf =
+      Gist.Buffering
+        (fun pid node ->
+          Some
+            (Dyn.fold
+               (fun acc e ->
+                 if
+                   (ext c).Ext.consistent c.query e.Node.le_key
+                   && not (Hashtbl.mem c.seen e.Node.le_rid)
+                 then { p_key = e.Node.le_key; p_rid = e.Node.le_rid; p_leaf = pid } :: acc
+                 else acc)
+               [] (Node.leaf_entries node)))
+    in
+    match
+      Gist.visit c.tree ~query:c.query ~spred:c.spred ~sig_lock:(sig_acquire c) ~leaf c.stack
+        entry
+    with
+    | None | Some [] -> sig_release c pid
+    | Some entries ->
       (* Keep the leaf's signaling lock until its buffered entries are
          consumed, so the rightlink chain the revalidation may need cannot
          be broken by node deletion. *)
@@ -133,23 +116,6 @@ let consume_leaf_slot c pid =
     sig_release c pid
   | Some n -> Hashtbl.replace c.leaf_pending k (n - 1)
   | None -> ()
-
-(* The FIFO rule of §10.3 (same as Gist.search): skip an uncommitted entry
-   whose writer queued its predicate behind ours. *)
-let writer_behind_us c leaf rid =
-  let holders = Lock_manager.holders (locks c) (Lock_manager.Record rid) in
-  let rec scan seen_self = function
-    | [] -> false
-    | p :: rest ->
-      if Txn_id.equal (Pm.owner p) c.tid then scan true rest
-      else if
-        seen_self
-        && (match Pm.kind_of p with Pm.Insert | Pm.Probe -> true | Pm.Scan -> false)
-        && List.exists (fun (h, _) -> Txn_id.equal h (Pm.owner p)) holders
-      then true
-      else scan seen_self rest
-  in
-  scan false (Pm.attached (Gist.predicate_manager c.tree) leaf)
 
 (* After acquiring the record lock, re-find the entry (it may have moved
    right via splits, which our retained leaf signaling lock keeps
@@ -201,7 +167,7 @@ let rec next c =
         let name = Lock_manager.Record pending.p_rid in
         let acquired =
           if Lock_manager.try_lock lm c.tid name Lock_manager.S then true
-          else if writer_behind_us c pending.p_leaf pending.p_rid then false
+          else if Gist.writer_behind_us c.tree ~tid:c.tid pending.p_leaf pending.p_rid then false
           else begin
             Lock_manager.lock lm c.tid name Lock_manager.S;
             true
@@ -223,7 +189,7 @@ let rec next c =
             next c
       end
     | [] -> (
-      match c.stack with
+      match !(c.stack) with
       | [] -> None
       | _ ->
         advance c;
@@ -231,10 +197,10 @@ let rec next c =
 
 let save c =
   c.pinned <- true;
-  { s_stack = c.stack; s_buffered = c.buffered; s_seen = Hashtbl.copy c.seen }
+  { s_stack = !(c.stack); s_buffered = c.buffered; s_seen = Hashtbl.copy c.seen }
 
 let restore c snapshot =
-  c.stack <- snapshot.s_stack;
+  c.stack := snapshot.s_stack;
   c.buffered <- snapshot.s_buffered;
   c.seen <- Hashtbl.copy snapshot.s_seen;
   (* Leaf slots may have been consumed since the snapshot; the pins taken
@@ -272,24 +238,19 @@ let close c =
    lifetime of the [Db.ro]. *)
 type 'p snap = {
   sc_tree : 'p Gist.t;
-  sc_ro : Db.ro;
   sc_query : 'p;
-  mutable sc_stack : (Page_id.t * Lsn.t) list;
+  sc_leaf : ('p, ('p * Rid.t) list) Gist.leaf;
+  sc_stack : (Page_id.t * Lsn.t) list ref;
   mutable sc_buffered : ('p * Rid.t) list;
   sc_seen : (Rid.t, unit) Hashtbl.t; (* rid dedup across rightlink revisits *)
 }
 
-let m_snapshot_scans = Gist_obs.Metrics.counter "mvcc.snapshot_scan"
-
 let open_snapshot tree ro query =
-  Gist_obs.Metrics.incr m_snapshot_scans;
-  if Gist_obs.Trace.enabled () then
-    Gist_obs.Trace.emit (Gist_obs.Trace.Snapshot_scan { ts = Db.ro_ts ro });
   {
     sc_tree = tree;
-    sc_ro = ro;
     sc_query = query;
-    sc_stack = [ (Gist.root tree, Db.global_nsn (Gist.db tree)) ];
+    sc_leaf = Gist.snapshot_leaf tree ro query;
+    sc_stack = ref (Gist.start_scan ~ro tree ~sig_lock:ignore);
     sc_buffered = [];
     sc_seen = Hashtbl.create 32;
   }
@@ -304,14 +265,11 @@ let rec snap_next c =
       Some (key, rid)
     end
   | [] -> (
-    match c.sc_stack with
+    match !(c.sc_stack) with
     | [] -> None
-    | (pid, memo) :: rest ->
-      let stack = ref rest in
-      let hits =
-        Gist.snapshot_visit c.sc_tree ~ts:(Db.ro_ts c.sc_ro) ~stack ~query:c.sc_query pid memo
-      in
-      c.sc_stack <- !stack;
-      Gist.prefetch_pending c.sc_tree c.sc_stack;
-      c.sc_buffered <- hits;
+    | entry :: rest ->
+      c.sc_stack := rest;
+      c.sc_buffered <-
+        Option.value ~default:[]
+          (Gist.visit c.sc_tree ~query:c.sc_query ~sig_lock:ignore ~leaf:c.sc_leaf c.sc_stack entry);
       snap_next c)

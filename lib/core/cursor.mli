@@ -20,7 +20,8 @@
 type 'p t
 
 val open_ : 'p Gist.t -> Gist_txn.Txn_manager.txn -> 'p -> 'p t
-(** Begin a scan for entries consistent with the predicate. *)
+(** Begin a scan for entries consistent with the predicate. Counted, like
+    {!Gist.search}, in [gist.search]. *)
 
 val next : 'p t -> ('p * Gist_storage.Rid.t) option
 (** The next qualifying live entry (S-locked per two-phase locking), or
@@ -53,7 +54,8 @@ type 'p snap
 
 val open_snapshot : 'p Gist.t -> Db.ro -> 'p -> 'p snap
 (** Begin a snapshot scan for entries consistent with the predicate and
-    visible to [ro]. Counted in [mvcc.snapshot_scan]. *)
+    visible to [ro]. Counted, like {!Gist.snapshot_search}, in
+    [gist.search] and [mvcc.snapshot_scan]. *)
 
 val snap_next : 'p snap -> ('p * Gist_storage.Rid.t) option
 (** The next visible qualifying entry, or [None] when exhausted. Never

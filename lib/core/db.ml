@@ -24,7 +24,6 @@ type config = {
   gc_on_write : bool;
   full_page_writes : bool;
   node_cache : bool;
-  olc : bool;
   olc_retries : int;
   commit_mode : Group_commit.mode;
   group_wait_us : int;
@@ -47,7 +46,6 @@ let default_config =
     gc_on_write = true;
     full_page_writes = false;
     node_cache = true;
-    olc = true;
     olc_retries = 8;
     commit_mode = Group_commit.Sync;
     group_wait_us = 50;
@@ -252,7 +250,7 @@ let checkpoint t =
 
 (* --- lifecycle --- *)
 
-let attach ~config ~disk ~log =
+let attach ~recovering ~config ~disk ~log =
   Log_manager.set_flush_delay_ns log config.wal_flush_delay_ns;
   let log_page_image =
     if not config.full_page_writes then None
@@ -319,6 +317,12 @@ let attach ~config ~disk ~log =
       Bg_writer.create ?checkpoint:ckpt ~checkpoint_interval_us:config.checkpoint_interval_us
         ~reserve pool
     in
+    (* An environment rebuilt by [crash] takes no checkpoint until
+       [Recovery.restart], which re-enables them when it is done: a
+       checkpoint of the still-empty pool, transaction table and
+       allocator would move the anchor past every record restart must
+       replay. *)
+    if recovering then Bg_writer.set_checkpoint_enabled bg false;
     Bg_writer.start bg;
     Buffer_pool.set_bg_writer pool
       ~wake:(fun () -> Bg_writer.wake bg)
@@ -330,7 +334,7 @@ let attach ~config ~disk ~log =
 let create ?(config = default_config) () =
   let disk = Disk.create ~io_delay_ns:config.io_delay_ns ~page_size:config.page_size () in
   let log = Log_manager.create () in
-  attach ~config ~disk ~log
+  attach ~recovering:false ~config ~disk ~log
 
 let close t =
   (match t.bg with
@@ -362,7 +366,7 @@ let crash t =
   halt_domains t;
   Buffer_pool.drop_all t.pool;
   Log_manager.crash t.log;
-  let fresh = attach ~config:t.config ~disk:t.disk ~log:t.log in
+  let fresh = attach ~recovering:true ~config:t.config ~disk:t.disk ~log:t.log in
   (* A dedicated counter is volatile; restart over-approximates it from the
      log so NSN comparisons stay conservative. *)
   Atomic.set fresh.counter (Log_manager.last_lsn t.log);

@@ -46,17 +46,15 @@ type config = {
           stamped with the page LSN it reflects, so repeat visits skip the
           page-image decode ([Node.get]). On by default; turn off to
           measure the decode cost it saves (experiment E13). *)
-  olc : bool;
-      (** Optimistic lock coupling on the search path: traverse internal
-          nodes latch-free under the frame latch's version word
-          ({!Gist_storage.Latch.optimistic}/[validate]) instead of taking
-          the S latch, restarting the visit on a version conflict. On by
-          default; leaf visits and all write-path traversals still latch.
-          See PROTOCOL.md §7 and experiment E15. *)
   olc_retries : int;
-      (** Optimistic attempts per node visit before falling back to the S
-          latch (counted in [olc.fallback]). [0] disables optimism per
-          visit even when [olc = true] — every visit falls back. *)
+      (** Optimistic lock coupling on the read path: a search, snapshot
+          scan or cursor visits each node latch-free under the frame
+          latch's version word ({!Gist_storage.Latch.optimistic}/[validate])
+          instead of taking the S latch, restarting the visit on a version
+          conflict, at most this many times before falling back to the S
+          latch (counted in [olc.fallback]). [0] always takes the S latch:
+          every visit falls back. Locking leaf visits and all write-path
+          traversals always latch. See PROTOCOL.md §7 and experiment E15. *)
   commit_mode : Gist_wal.Group_commit.mode;
       (** How commits obtain durability: [Sync] (default) forces the log
           inline; [Group] enqueues to a dedicated log-writer domain and
@@ -162,8 +160,9 @@ val crash : t -> t
     — including durability requests still queued in the group-commit
     writer's window, whose domain is halted un-drained — and the returned
     environment shares the disk and durable log (spawning a fresh writer
-    if the config calls for one). The old value must not be used
-    afterwards. *)
+    if the config calls for one; a fresh background writer takes no
+    checkpoint until {!Recovery.restart} has run). The old value must not
+    be used afterwards. *)
 
 val checkpoint : t -> unit
 (** Fuzzy checkpoint: Begin/End record pair carrying the dirty page table,

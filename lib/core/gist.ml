@@ -11,8 +11,7 @@ module Pm = Gist_pred.Predicate_manager
 module Metrics = Gist_obs.Metrics
 module Trace = Gist_obs.Trace
 
-(* Global metrics, aggregated across every tree in the process; the
-   per-tree [counters] below stay authoritative for per-object stats. *)
+(* Operation counters, aggregated across every tree in the process. *)
 let m_searches = Metrics.counter ~unit_:"ops" ~help:"search operations" "gist.search"
 
 let m_inserts = Metrics.counter ~unit_:"ops" ~help:"insert operations" "gist.insert"
@@ -82,54 +81,13 @@ exception Parent_needs_split
 (* Internal: a split found its parent full; the caller climbs the descent
    stack, splits the parent, and retries. *)
 
-type counters = {
-  c_searches : int Atomic.t;
-  c_inserts : int Atomic.t;
-  c_deletes : int Atomic.t;
-  c_splits : int Atomic.t;
-  c_root_grows : int Atomic.t;
-  c_bp_updates : int Atomic.t;
-  c_rightlinks : int Atomic.t;
-  c_gc_entries : int Atomic.t;
-  c_node_deletes : int Atomic.t;
-  c_pred_blocks : int Atomic.t;
-}
-
-let fresh_counters () =
-  {
-    c_searches = Atomic.make 0;
-    c_inserts = Atomic.make 0;
-    c_deletes = Atomic.make 0;
-    c_splits = Atomic.make 0;
-    c_root_grows = Atomic.make 0;
-    c_bp_updates = Atomic.make 0;
-    c_rightlinks = Atomic.make 0;
-    c_gc_entries = Atomic.make 0;
-    c_node_deletes = Atomic.make 0;
-    c_pred_blocks = Atomic.make 0;
-  }
-
 type 'p t = {
   db : Db.t;
   ext : 'p Ext.t;
   root : Page_id.t;
   preds : 'p Pm.t;
   unique : bool;
-  counters : counters;
   mutable hook : string -> unit;
-}
-
-type stats = {
-  searches : int;
-  inserts : int;
-  deletes : int;
-  splits : int;
-  root_grows : int;
-  bp_updates : int;
-  rightlink_follows : int;
-  gc_entries : int;
-  node_deletes : int;
-  pred_blocks : int;
 }
 
 let db t = t.db
@@ -142,38 +100,6 @@ let predicate_manager t = t.preds
 
 let set_hook t f = t.hook <- f
 
-let stats t =
-  let c = t.counters in
-  {
-    searches = Atomic.get c.c_searches;
-    inserts = Atomic.get c.c_inserts;
-    deletes = Atomic.get c.c_deletes;
-    splits = Atomic.get c.c_splits;
-    root_grows = Atomic.get c.c_root_grows;
-    bp_updates = Atomic.get c.c_bp_updates;
-    rightlink_follows = Atomic.get c.c_rightlinks;
-    gc_entries = Atomic.get c.c_gc_entries;
-    node_deletes = Atomic.get c.c_node_deletes;
-    pred_blocks = Atomic.get c.c_pred_blocks;
-  }
-
-let reset_stats t =
-  let c = t.counters in
-  List.iter
-    (fun a -> Atomic.set a 0)
-    [
-      c.c_searches;
-      c.c_inserts;
-      c.c_deletes;
-      c.c_splits;
-      c.c_root_grows;
-      c.c_bp_updates;
-      c.c_rightlinks;
-      c.c_gc_entries;
-      c.c_node_deletes;
-      c.c_pred_blocks;
-    ]
-
 let hook t label = t.hook label
 
 (* Hot paths guard hook-argument construction on this test: [ignore] is the
@@ -184,10 +110,9 @@ let hookf t fmt = if hook_on t then Format.kasprintf t.hook fmt else Format.ikfp
 
 (* Record one rightlink compensation (§3): a traversal found a node whose
    NSN is newer than its memorized value and must evaluate the right
-   sibling too. Bumps the per-tree counter and the global metric, and
-   under tracing emits the NSN-mismatch + traversal pair. *)
-let note_rightlink_raw t ~from_pid ~memo ~nsn ~rightlink =
-  Atomic.incr t.counters.c_rightlinks;
+   sibling too. Bumps the global metric and, under tracing, emits the
+   NSN-mismatch + traversal pair. *)
+let note_rightlink_raw ~from_pid ~memo ~nsn ~rightlink =
   Metrics.incr m_rightlinks;
   if Trace.enabled () then begin
     Trace.emit (Trace.Nsn_mismatch { page = Page_id.to_int from_pid; memo; nsn });
@@ -196,8 +121,8 @@ let note_rightlink_raw t ~from_pid ~memo ~nsn ~rightlink =
          { from_page = Page_id.to_int from_pid; to_page = Page_id.to_int rightlink })
   end
 
-let note_rightlink t ~from_pid ~memo node =
-  note_rightlink_raw t ~from_pid ~memo ~nsn:node.Node.nsn ~rightlink:node.Node.rightlink
+let note_rightlink ~from_pid ~memo node =
+  note_rightlink_raw ~from_pid ~memo ~nsn:node.Node.nsn ~rightlink:node.Node.rightlink
 
 (* ------------------------------------------------------------------ *)
 (* Node access helpers                                                 *)
@@ -302,7 +227,6 @@ let make_handle db ext_ unique root =
     root;
     preds = Pm.create ();
     unique;
-    counters = fresh_counters ();
     hook = ignore;
   }
 
@@ -341,109 +265,69 @@ let create db ext_ ?(unique = false) ~empty_bp () =
   t
 
 (* ------------------------------------------------------------------ *)
-(* Optimistic traversal (PROTOCOL.md §7)                               *)
+(* The read path: Figure 3's node visit (PROTOCOL.md §7, §9)           *)
 (* ------------------------------------------------------------------ *)
 
-(* One latch-free attempt at the internal-node step of a search visit:
-   everything the S-latch path reads out of the node — rightlink decision,
-   child memo, consistent children — computed from a raw [Node.peek],
-   with the signaling locks (§7.2) taken *inside* the version window so
-   that a successful validation proves they were placed while the node
-   state we acted on was current, exactly as if we had held the S latch.
-   Returns a commit thunk to run after validation: counter bumps, hooks
-   and stack pushes for state the attempt may yet discard. Sig locks
-   taken by a failed attempt are merely conservative — S-mode node locks
-   block nobody but a drain's conditional X, and the op releases them at
-   the end either way. *)
-let olc_read_step t ctx ~stack ~query frame pid memo =
-  let node = Node.peek t.ext frame in
-  if Node.is_leaf node then `Leaf
-  else begin
-    let rl =
-      if Lsn.( < ) memo node.Node.nsn && Page_id.is_valid node.Node.rightlink then begin
-        sig_lock t ctx node.Node.rightlink;
-        Some (node.Node.rightlink, node.Node.nsn)
-      end
-      else None
-    in
-    let child_memo = memo_of t frame in
-    let children =
-      Dyn.fold
-        (fun acc e ->
-          if t.ext.Ext.consistent query e.Node.ie_bp then begin
-            sig_lock t ctx e.Node.ie_child;
-            e.Node.ie_child :: acc
-          end
-          else acc)
-        [] (Node.internal_entries node)
-    in
-    `Internal
-      (fun () ->
-        (match rl with
-        | Some (rightlink, nsn) ->
-          note_rightlink_raw t ~from_pid:pid ~memo ~nsn ~rightlink;
-          stack := (rightlink, memo) :: !stack;
-          hookf t "search:rightlink:%a" Page_id.pp rightlink
-        | None -> ());
-        (* [children] is accumulated in reverse entry order; pushing it
-           as-is leaves the stack popping children in entry order, matching
-           the S-latch path's last-pushed-first-popped layout closely
-           enough — search order is unspecified and results are a set. *)
-        List.iter (fun child -> stack := (child, child_memo) :: !stack) children)
-  end
-
-(* Visit one search-stack entry without latching, under the frame latch's
-   version word. [true] = internal node fully processed (children
-   sig-locked and pushed); [false] = take the S-latch path: the node is a
-   leaf (record try-locks and the §10.3 FIFO check need a stable entry
-   list), or the retry budget ran out ([olc.fallback]). A racing writer
-   can tear the raw decode mid-[peek]; any exception inside the window is
-   re-raised only if the window still validates (then it is a genuine
-   corruption an S-latched reader would also have hit). *)
-let olc_visit t ctx ~spred ~stack ~query pid memo =
-  let cfg = t.db.Db.config in
-  let pool = t.db.Db.pool in
-  let frame = Buffer_pool.pin pool pid in
-  Fun.protect
-    ~finally:(fun () -> Buffer_pool.unpin pool frame)
-    (fun () ->
-      (* Attach before any entry is examined (§4.3). Idempotent, so one
-         attach ahead of the retry loop covers every attempt — and it must
-         sit outside the window because attaching takes the predicate
-         manager's shard lock, which could stall the window arbitrarily. *)
-      (match spred with Some sp -> Pm.attach t.preds sp pid | None -> ());
-      let rec attempt n =
-        if n >= cfg.Db.olc_retries then begin
-          Metrics.incr m_olc_fallbacks;
-          if Trace.enabled () then
-            Trace.emit (Trace.Olc_fallback { page = Page_id.to_int pid });
-          false
-        end
-        else begin
-          Metrics.incr m_olc_attempts;
-          let restart () =
-            Metrics.incr m_olc_restarts;
-            if Trace.enabled () then
-              Trace.emit (Trace.Olc_restart { page = Page_id.to_int pid });
-            Domain.cpu_relax ();
-            attempt (n + 1)
-          in
-          match Buffer_pool.frame_version frame with
-          | None -> restart ()
-          | Some v0 -> (
-            match olc_read_step t ctx ~stack ~query frame pid memo with
-            | exception e ->
-              if Buffer_pool.validate_frame frame v0 then raise e else restart ()
-            | `Leaf -> false
-            | `Internal commit ->
-              if Buffer_pool.validate_frame frame v0 then begin
-                commit ();
-                true
-              end
-              else restart ())
-        end
+(* Run [read] on the pinned [frame] inside the frame latch's version
+   window: the one optimistic-read protocol (PROTOCOL.md §7). A conflict
+   (version word odd, or changed across the read) restarts the attempt
+   ([olc.restart]); after [olc_retries] attempts [latched] runs instead
+   ([olc.fallback]). [read] returns [None] when the visit needs the S
+   latch anyway (a locking leaf): [latched] then runs at once, which is
+   no fallback. A racing writer can tear the raw decode, so an exception
+   is re-raised only if the window still validates — then it is one an
+   S-latched reader would have hit too. *)
+let optimistic t frame pid ~read ~latched =
+  let rec attempt n =
+    if n >= t.db.Db.config.Db.olc_retries then begin
+      Metrics.incr m_olc_fallbacks;
+      if Trace.enabled () then Trace.emit (Trace.Olc_fallback { page = Page_id.to_int pid });
+      latched ()
+    end
+    else begin
+      Metrics.incr m_olc_attempts;
+      let restart () =
+        Metrics.incr m_olc_restarts;
+        if Trace.enabled () then Trace.emit (Trace.Olc_restart { page = Page_id.to_int pid });
+        Domain.cpu_relax ();
+        attempt (n + 1)
       in
-      attempt 0)
+      match Buffer_pool.frame_version frame with
+      | None -> restart ()
+      | Some v0 -> (
+        match read () with
+        | exception e -> if Buffer_pool.validate_frame frame v0 then raise e else restart ()
+        | None -> latched ()
+        | Some r -> if Buffer_pool.validate_frame frame v0 then r else restart ())
+    end
+  in
+  attempt 0
+
+type ('p, 'a) leaf =
+  | Locking of (Page_id.t -> 'p Node.t -> 'a option)
+  | Buffering of (Page_id.t -> 'p Node.t -> 'a option)
+  | Snapshot of (Page_id.t -> 'p Node.t -> 'a option)
+
+(* S-latch a snapshot reader's frame without ever blocking on a writer's
+   latch. A blocking acquire would also deadlock the crash fuzzer's racing
+   readers: its simulated power loss is an exception raised in the
+   faulting domain, which strands any bare-held X latch (a real power loss
+   takes every domain with it), and a reader parked on that latch never
+   wakes. So spin on [try_acquire], and every so often probe the disk — a
+   no-op read whose fault hook re-raises the sticky power-off in {e this}
+   domain, turning the stranded-latch case into the same [Fault.Crash] the
+   reader already absorbs. *)
+let spin_s t frame pid =
+  let l = Buffer_pool.latch frame in
+  let rec go spins =
+    if not (Latch.try_acquire l Latch.S) then begin
+      if spins land 255 = 255 then
+        ignore (Gist_storage.Disk.read (Buffer_pool.disk t.db.Db.pool) pid);
+      Domain.cpu_relax ();
+      go (spins + 1)
+    end
+  in
+  go 0
 
 (* Hand the scan's next visit targets (pending subtree roots and rightlink
    successors already on the stack) to the background writer for
@@ -462,13 +346,115 @@ let prefetch_pending t stack =
     in
     go 0 stack
 
-let search ?(isolation = `Repeatable_read) ?olc t txn query =
+(* Figure 3's step on one node, decoded under the S latch or inside a
+   version window: compensate a missed split through the rightlink (§3),
+   then collect the consistent children under the child memo (§10.1), or
+   run the leaf policy. Signaling locks (§7.2) are placed here, while the
+   node state read is current: inside a window, validation proves they
+   were placed as if under the latch; a failed attempt's extra locks are
+   merely conservative (they block only a drain's conditional X) and go
+   with the operation's others. Returns the commit to run once the read
+   is known good — counter bumps, hooks and stack pushes — which yields
+   the leaf policy's result. *)
+let node_step t ~query ~sig_lock ~leaf frame pid memo node =
+  let rl =
+    if Lsn.( < ) memo node.Node.nsn && Page_id.is_valid node.Node.rightlink then begin
+      sig_lock node.Node.rightlink;
+      Some (node.Node.rightlink, node.Node.nsn)
+    end
+    else None
+  in
+  let children, out =
+    if Node.is_leaf node then ([], leaf pid node)
+    else
+      let child_memo = memo_of t frame in
+      ( Dyn.fold
+          (fun acc e ->
+            if t.ext.Ext.consistent query e.Node.ie_bp then begin
+              sig_lock e.Node.ie_child;
+              (e.Node.ie_child, child_memo) :: acc
+            end
+            else acc)
+          [] (Node.internal_entries node),
+        None )
+  in
+  fun stack ->
+    (match rl with
+    | Some (rightlink, nsn) ->
+      note_rightlink_raw ~from_pid:pid ~memo ~nsn ~rightlink;
+      stack := (rightlink, memo) :: !stack;
+      hookf t "visit:rightlink:%a" Page_id.pp rightlink
+    | None -> ());
+    (* [children] is in reverse entry order: the first consistent entry
+       ends on top, so a scan visits the tree in entry order. *)
+    stack := List.rev_append children !stack;
+    out
+
+let visit t ~query ?spred ~sig_lock ~leaf stack (pid, memo) =
+  (* Attach before any entry is examined (§4.3), outside the window:
+     attaching takes a predicate-manager shard lock, which could stall the
+     window arbitrarily, and it is idempotent, so one attach covers every
+     attempt and the latched visit. *)
+  (match spred with Some sp -> Pm.attach t.preds sp pid | None -> ());
+  let pool = t.db.Db.pool in
+  let frame = Buffer_pool.pin pool pid in
+  let step node =
+    let f = match leaf with Locking f | Buffering f | Snapshot f -> f in
+    node_step t ~query ~sig_lock ~leaf:f frame pid memo node
+  in
+  let read () =
+    let node = Node.peek t.ext frame in
+    match leaf with Locking _ when Node.is_leaf node -> None | _ -> Some (step node)
+  in
+  let latched () =
+    let l = Buffer_pool.latch frame in
+    (match leaf with
+    | Snapshot _ -> spin_s t frame pid
+    | Locking _ | Buffering _ -> Latch.acquire l Latch.S);
+    Fun.protect ~finally:(fun () -> Latch.release l Latch.S) (fun () -> step (Node.get t.ext frame))
+  in
+  let out =
+    Fun.protect
+      ~finally:(fun () -> Buffer_pool.unpin pool frame)
+      (fun () ->
+        match optimistic t frame pid ~read ~latched with
+        (* A validated decode failure is a page retired by a node delete
+           (scrub deferred or replayed): nothing to visit. *)
+        | exception Codec.Corrupt _ -> None
+        | commit -> commit stack)
+  in
+  prefetch_pending t !stack;
+  out
+
+let start_scan ?ro t ~sig_lock =
+  Metrics.incr m_searches;
+  Option.iter
+    (fun ro ->
+      Metrics.incr m_snapshot_scans;
+      if Trace.enabled () then Trace.emit (Trace.Snapshot_scan { ts = Db.ro_ts ro }))
+    ro;
+  sig_lock t.root;
+  [ (t.root, Db.global_nsn t.db) ]
+
+let writer_behind_us t ~tid leaf rid =
+  let holders = Lock_manager.holders t.db.Db.locks (Lock_manager.Record rid) in
+  let rec scan seen_self = function
+    | [] -> false
+    | p :: rest ->
+      if Txn_id.equal (Pm.owner p) tid then scan true rest
+      else if
+        seen_self
+        && (match Pm.kind_of p with Pm.Insert | Pm.Probe -> true | Pm.Scan -> false)
+        && List.exists (fun (h, _) -> Txn_id.equal h (Pm.owner p)) holders
+      then true
+      else scan seen_self rest
+  in
+  scan false (Pm.attached t.preds leaf)
+
+let search ?(isolation = `Repeatable_read) t txn query =
   let tid = Txn_manager.id txn in
   let locks = t.db.Db.locks in
-  let use_olc = match olc with Some b -> b | None -> t.db.Db.config.Db.olc in
   let rr = isolation = `Repeatable_read in
-  Atomic.incr t.counters.c_searches;
-  Metrics.incr m_searches;
   with_ctx txn ~keep_on_success:(fun _ -> []) t (fun ctx ->
       let results : (Rid.t, 'p) Hashtbl.t = Hashtbl.create 32 in
       (* Degree-2 (read committed) scans take no predicate and hold record
@@ -478,110 +464,45 @@ let search ?(isolation = `Repeatable_read) ?olc t txn query =
       let spred =
         if rr then Some (Pm.register t.preds ~owner:tid ~kind:Pm.Scan query) else None
       in
-      let stack = ref [ (t.root, Db.global_nsn t.db) ] in
-      sig_lock t ctx t.root;
-      let blocked = ref None in
+      let sig_lock = sig_lock t ctx in
+      let stack = ref (start_scan t ~sig_lock) in
+      (* S-lock every consistent live entry. [Some rid] when [rid]'s
+         writer must be waited for: the visit releases the latch first
+         (§5), then the leaf is rescanned. *)
+      let leaf =
+        Locking
+          (fun pid node ->
+            let exception Blocked of Rid.t in
+            let lock_entry e =
+              let rid = e.Node.le_rid in
+              if t.ext.Ext.consistent query e.Node.le_key && not (Hashtbl.mem results rid) then
+                if Lock_manager.try_lock locks tid (Lock_manager.Record rid) Lock_manager.S then begin
+                  if Txn_id.is_some e.Node.le_deleter then begin
+                    (* Deleter finished: committed ⇒ awaiting GC, skip;
+                       our own mark ⇒ we deleted it. *)
+                    if not (Txn_id.equal e.Node.le_deleter tid) then
+                      Lock_manager.unlock locks tid (Lock_manager.Record rid)
+                  end
+                  else begin
+                    Hashtbl.replace results rid e.Node.le_key;
+                    (* Degree 2: the lock was only needed to verify the
+                       entry is committed. *)
+                    if not rr then Lock_manager.unlock locks tid (Lock_manager.Record rid)
+                  end
+                end
+                else if not (writer_behind_us t ~tid pid rid) then raise (Blocked rid)
+            in
+            match Dyn.iter lock_entry (Node.leaf_entries node) with
+            | () -> None
+            | exception Blocked rid -> Some rid)
+      in
       while !stack <> [] do
-        let pid, memo = List.hd !stack in
+        let entry = List.hd !stack in
         stack := List.tl !stack;
-        hookf t "search:visit:%a" Page_id.pp pid;
-        let handled = use_olc && olc_visit t ctx ~spred ~stack ~query pid memo in
-        if not handled then
-        with_node t pid Latch.S (fun frame node ->
-            (* Detect splits missed since the pointer was memorized (§3). *)
-            if Lsn.( < ) memo node.Node.nsn && Page_id.is_valid node.Node.rightlink then begin
-              note_rightlink t ~from_pid:pid ~memo node;
-              sig_lock t ctx node.Node.rightlink;
-              stack := (node.Node.rightlink, memo) :: !stack;
-              hook t (Format.asprintf "search:rightlink:%a" Page_id.pp node.Node.rightlink)
-            end;
-            (* Attach before examining entries so the §4.3 invariant holds
-               even if we must release the latch to block below. *)
-            (match spred with Some sp -> Pm.attach t.preds sp pid | None -> ());
-            if Node.is_leaf node then begin
-              (try
-                 Dyn.iter
-                   (fun e ->
-                     if
-                       t.ext.Ext.consistent query e.Node.le_key
-                       && not (Hashtbl.mem results e.Node.le_rid)
-                     then
-                       if
-                         Lock_manager.try_lock locks tid
-                           (Lock_manager.Record e.Node.le_rid)
-                           Lock_manager.S
-                       then begin
-                         if Txn_id.is_some e.Node.le_deleter then begin
-                           (* Deleter finished: committed ⇒ awaiting GC,
-                              skip; our own mark ⇒ we deleted it. *)
-                           if not (Txn_id.equal e.Node.le_deleter tid) then
-                             Lock_manager.unlock locks tid (Lock_manager.Record e.Node.le_rid)
-                         end
-                         else begin
-                           Hashtbl.replace results e.Node.le_rid e.Node.le_key;
-                           (* Degree 2: the lock was only needed to verify
-                              the entry is committed. *)
-                           if not rr then
-                             Lock_manager.unlock locks tid (Lock_manager.Record e.Node.le_rid)
-                         end
-                       end
-                       else begin
-                         (* The record is X-locked by a writer. FIFO rule
-                            (§10.3): if that writer's insert predicate is
-                            queued *behind* our scan predicate on this
-                            leaf, the writer is waiting for us — skip its
-                            uncommitted entry (we serialize before it).
-                            Otherwise release the latch first (§5), then
-                            wait on the record lock and rescan this leaf. *)
-                         let holders =
-                           Lock_manager.holders locks (Lock_manager.Record e.Node.le_rid)
-                         in
-                         let writer_behind_us =
-                           (* "Us" is the transaction: an earlier scan of
-                              ours may have queued the predicate the writer
-                              is waiting on. *)
-                           let rec scan seen_self = function
-                             | [] -> false
-                             | p :: rest ->
-                               if Txn_id.equal (Pm.owner p) tid then scan true rest
-                               else if
-                                 seen_self
-                                 && (match Pm.kind_of p with
-                                    | Pm.Insert | Pm.Probe -> true
-                                    | Pm.Scan -> false)
-                                 && List.exists
-                                      (fun (h, _) -> Txn_id.equal h (Pm.owner p))
-                                      holders
-                               then true
-                               else scan seen_self rest
-                           in
-                           scan false (Pm.attached t.preds pid)
-                         in
-                         if not writer_behind_us then begin
-                           blocked := Some e.Node.le_rid;
-                           raise Exit
-                         end
-                       end)
-                   (Node.leaf_entries node)
-               with Exit -> ());
-              match !blocked with
-              | Some _ -> stack := (pid, memo) :: !stack
-              | None -> ()
-            end
-            else begin
-              let child_memo = memo_of t frame in
-              Dyn.iter
-                (fun e ->
-                  if t.ext.Ext.consistent query e.Node.ie_bp then begin
-                    sig_lock t ctx e.Node.ie_child;
-                    stack := (e.Node.ie_child, child_memo) :: !stack
-                  end)
-                (Node.internal_entries node)
-            end);
-        prefetch_pending t !stack;
-        match !blocked with
+        hookf t "search:visit:%a" Page_id.pp (fst entry);
+        match visit t ~query ?spred ~sig_lock ~leaf stack entry with
         | Some rid ->
-          blocked := None;
+          stack := entry :: !stack;
           hookf t "search:block:%a" Rid.pp rid;
           (* Blocking wait with no latches held; Deadlock may propagate. *)
           Lock_manager.lock locks tid (Lock_manager.Record rid) Lock_manager.S
@@ -617,145 +538,32 @@ let entry_visible t ~ts e =
   end
   else true
 
-(* Everything a snapshot scan takes from one node: rightlink compensation
-   decision, consistent children (internal), or visible matching entries
-   (leaf). Pure reads plus txn-table lookups — no locks, no predicates, no
-   mutation. Runs under the S latch or inside a version window. *)
-let snapshot_read_step t ~ts ~query frame pid memo =
-  ignore pid;
-  let node = Node.peek t.ext frame in
-  let rl =
-    if Lsn.( < ) memo node.Node.nsn && Page_id.is_valid node.Node.rightlink then
-      Some (node.Node.rightlink, node.Node.nsn)
-    else None
-  in
-  if Node.is_leaf node then
-    let hits =
-      Dyn.fold
-        (fun acc e ->
-          if t.ext.Ext.consistent query e.Node.le_key && entry_visible t ~ts e then
-            (e.Node.le_key, e.Node.le_rid) :: acc
-          else acc)
-        [] (Node.leaf_entries node)
-    in
-    `Step (rl, None, [], hits)
-  else
-    let child_memo = memo_of t frame in
-    let children =
-      Dyn.fold
-        (fun acc e ->
-          if t.ext.Ext.consistent query e.Node.ie_bp then e.Node.ie_child :: acc else acc)
-        [] (Node.internal_entries node)
-    in
-    `Step (rl, Some child_memo, children, [])
-
-(* Visit one snapshot-scan stack entry and return its visible leaf hits.
-   No signaling locks and no predicate attach anywhere on this path: the
-   snapshot does not need them (visibility is decided per entry, and a
-   page retired under our feet is just an empty node or an unformatted
-   image we skip). Optimistic first, like [olc_visit]; the S-latch
-   fallback covers pathological write traffic. *)
-let snapshot_visit t ~ts ~stack ~query pid memo =
-  let cfg = t.db.Db.config in
-  let pool = t.db.Db.pool in
-  let frame = Buffer_pool.pin pool pid in
-  Fun.protect
-    ~finally:(fun () -> Buffer_pool.unpin pool frame)
-    (fun () ->
-      let act = function
-        | `Retired -> []
-        | `Step (rl, child_memo, children, hits) ->
-          (match rl with
-          | Some (rightlink, nsn) ->
-            note_rightlink_raw t ~from_pid:pid ~memo ~nsn ~rightlink;
-            stack := (rightlink, memo) :: !stack;
-            hookf t "snapshot:rightlink:%a" Page_id.pp rightlink
-          | None -> ());
-          (match child_memo with
-          | Some cm -> List.iter (fun child -> stack := (child, cm) :: !stack) children
-          | None -> ());
-          hits
-      in
-      (* The snapshot path must never *block* on a writer's latch — not
-         even as a fallback. A blocking acquire here would also deadlock
-         the crash fuzzer's racing readers: its simulated power loss is an
-         exception raised in the faulting domain, which strands any
-         bare-held X latch (a real power loss takes every domain with it),
-         and a reader parked on that latch never wakes. So the fallback
-         spins on [try_acquire], and every so often probes the disk — a
-         no-op read whose fault hook re-raises the sticky power-off in
-         *this* domain, turning the stranded-latch case into the same
-         [Fault.Crash] the reader already absorbs. *)
-      let latched () =
-        let l = Buffer_pool.latch frame in
-        let rec try_s spins =
-          if Latch.try_acquire l Latch.S then
-            Fun.protect
-              ~finally:(fun () -> Latch.release l Latch.S)
-              (fun () ->
-                match snapshot_read_step t ~ts ~query frame pid memo with
-                | exception Codec.Corrupt _ -> act `Retired
-                | step -> act step)
-          else begin
-            if spins land 255 = 255 then
-              ignore (Gist_storage.Disk.read (Buffer_pool.disk pool) pid);
-            Domain.cpu_relax ();
-            try_s (spins + 1)
-          end
-        in
-        try_s 0
-      in
-      if not cfg.Db.olc then latched ()
-      else begin
-        let rec attempt n =
-          if n >= cfg.Db.olc_retries then begin
-            Metrics.incr m_olc_fallbacks;
-            if Trace.enabled () then Trace.emit (Trace.Olc_fallback { page = Page_id.to_int pid });
-            latched ()
-          end
-          else begin
-            Metrics.incr m_olc_attempts;
-            let restart () =
-              Metrics.incr m_olc_restarts;
-              if Trace.enabled () then Trace.emit (Trace.Olc_restart { page = Page_id.to_int pid });
-              Domain.cpu_relax ();
-              attempt (n + 1)
-            in
-            match Buffer_pool.frame_version frame with
-            | None -> restart ()
-            | Some v0 -> (
-              match snapshot_read_step t ~ts ~query frame pid memo with
-              | exception Codec.Corrupt _ ->
-                (* A validated corrupt decode is a page retired by a node
-                   delete (scrub deferred or replayed) — skip it. *)
-                if Buffer_pool.validate_frame frame v0 then act `Retired else restart ()
-              | exception e -> if Buffer_pool.validate_frame frame v0 then raise e else restart ()
-              | step -> if Buffer_pool.validate_frame frame v0 then act step else restart ())
-          end
-        in
-        attempt 0
-      end)
+let snapshot_leaf t ro query =
+  let ts = Db.ro_ts ro in
+  Snapshot
+    (fun _pid node ->
+      Some
+        (Dyn.fold
+           (fun acc e ->
+             if t.ext.Ext.consistent query e.Node.le_key && entry_visible t ~ts e then
+               (e.Node.le_key, e.Node.le_rid) :: acc
+             else acc)
+           [] (Node.leaf_entries node)))
 
 let snapshot_search t ro query =
-  let ts = Db.ro_ts ro in
-  Atomic.incr t.counters.c_searches;
-  Metrics.incr m_searches;
-  Metrics.incr m_snapshot_scans;
-  if Trace.enabled () then Trace.emit (Trace.Snapshot_scan { ts });
+  let leaf = snapshot_leaf t ro query in
   let results : (Rid.t, 'p) Hashtbl.t = Hashtbl.create 32 in
-  let stack = ref [ (t.root, Db.global_nsn t.db) ] in
+  let stack = ref (start_scan ~ro t ~sig_lock:ignore) in
   while !stack <> [] do
-    let pid, memo = List.hd !stack in
+    let entry = List.hd !stack in
     stack := List.tl !stack;
-    hookf t "snapshot:visit:%a" Page_id.pp pid;
-    let hits = snapshot_visit t ~ts ~stack ~query pid memo in
+    hookf t "snapshot:visit:%a" Page_id.pp (fst entry);
     (* Dedup by rid: a split can make the scan visit the same leaf both
        through its parent entry and through a rightlink chase. Visibility
-       already guarantees at most one version of a rid qualifies at [ts]. *)
-    List.iter
-      (fun (key, rid) -> if not (Hashtbl.mem results rid) then Hashtbl.replace results rid key)
-      hits;
-    prefetch_pending t !stack
+       already guarantees at most one version of a rid qualifies. *)
+    Option.iter
+      (List.iter (fun (key, rid) -> Hashtbl.replace results rid key))
+      (visit t ~query ~sig_lock:ignore ~leaf stack entry)
   done;
   Hashtbl.fold (fun rid key acc -> (key, rid) :: acc) results []
 
@@ -845,7 +653,6 @@ let rec split_node t txn ~parent_hint pid =
           if node_fits t root_node ~extra:0 then None
           else begin
             hook t "split:root-grow";
-            Atomic.incr t.counters.c_root_grows;
             Metrics.incr m_root_grows;
             let nta = Txn_manager.begin_nta txns txn in
             let child = Db.allocate_page t.db in
@@ -927,7 +734,6 @@ let rec split_node t txn ~parent_hint pid =
                 if not (node_fits t parent_node ~extra) then `Parent_full
                 else begin
                   hookf t "split:node:%a" Page_id.pp pid;
-                  Atomic.incr t.counters.c_splits;
                   Metrics.incr m_splits;
                   let nta = Txn_manager.begin_nta txns txn in
                   let right = Db.allocate_page t.db in
@@ -1130,7 +936,6 @@ let propagate_bp t txn ~stack ~leaf needed_bp =
               let new_bp = t.ext.Ext.union [ ie.Node.ie_bp; needed ] in
               if not (bp_equal t new_bp ie.Node.ie_bp) then begin
                 hookf t "bp-update:%a" Page_id.pp child;
-                Atomic.incr t.counters.c_bp_updates;
                 Metrics.incr m_bp_updates;
                 Buffer_pool.with_page t.db.Db.pool child Latch.X (fun child_frame ->
                     let child_node = Node.get t.ext child_frame in
@@ -1216,7 +1021,6 @@ let gc_leaf t frame node =
     | [] -> false
     | rids ->
       hookf t "gc:%a:%d" Page_id.pp node.Node.id (List.length rids);
-      List.iter (fun _ -> Atomic.incr t.counters.c_gc_entries) rids;
       Metrics.add m_gc_entries (List.length rids);
       Metrics.add m_gc_reclaimed (List.length rids);
       let lsn =
@@ -1246,7 +1050,7 @@ let locate_leaf t ctx key =
           let pen = t.ext.Ext.penalty node.Node.bp key in
           let next =
             if Lsn.( < ) memo node.Node.nsn && Page_id.is_valid node.Node.rightlink then begin
-              note_rightlink t ~from_pid:pid ~memo node;
+              note_rightlink ~from_pid:pid ~memo node;
               sig_lock t ctx node.Node.rightlink;
               Some node.Node.rightlink
             end
@@ -1383,7 +1187,6 @@ let insert_entry t txn ~key ~rid =
       [ target ])
     t
     (fun ctx ->
-      Atomic.incr t.counters.c_inserts;
       Metrics.incr m_inserts;
       (* Phase 1: the data record is X-locked before the tree is touched. *)
       Lock_manager.lock locks tid (Lock_manager.Record rid) Lock_manager.X;
@@ -1398,7 +1201,7 @@ let insert_entry t txn ~key ~rid =
           let next =
             with_node t p Latch.S (fun _f node ->
                 if Lsn.( < ) memo node.Node.nsn && Page_id.is_valid node.Node.rightlink then begin
-                  note_rightlink t ~from_pid:p ~memo node;
+                  note_rightlink ~from_pid:p ~memo node;
                   sig_lock t ctx node.Node.rightlink;
                   Some (node.Node.rightlink, t.ext.Ext.penalty node.Node.bp key)
                 end
@@ -1489,7 +1292,6 @@ let insert_entry t txn ~key ~rid =
         | [] -> ()
         | _ :: _ ->
           hook t "insert:block";
-          Atomic.incr t.counters.c_pred_blocks;
           Metrics.incr m_pred_blocks;
           List.iter
             (fun owner ->
@@ -1543,77 +1345,54 @@ let unique_probe t txn key =
   let locks = t.db.Db.locks in
   with_ctx txn ~keep_on_success:(fun _ -> []) t (fun ctx ->
       let probe = Pm.register t.preds ~owner:tid ~kind:Pm.Probe key in
-      let dup = ref None in
+      let sig_lock = sig_lock t ctx in
+      sig_lock t.root;
       let stack = ref [ (t.root, Db.global_nsn t.db) ] in
-      sig_lock t ctx t.root;
-      let blocked = ref None in
-      while !stack <> [] && !dup = None do
-        let pid, memo = List.hd !stack in
-        stack := List.tl !stack;
-        hookf t "probe:visit:%a:memo=%a" Page_id.pp pid Lsn.pp memo;
-        with_node t pid Latch.S (fun frame node ->
-            if Lsn.( < ) memo node.Node.nsn && Page_id.is_valid node.Node.rightlink then begin
-              note_rightlink t ~from_pid:pid ~memo node;
-              sig_lock t ctx node.Node.rightlink;
-              stack := (node.Node.rightlink, memo) :: !stack
-            end;
-            Pm.attach t.preds probe pid;
-            if Node.is_leaf node then begin
-              try
-                Dyn.iter
-                  (fun e ->
-                    if t.ext.Ext.matches_exact key e.Node.le_key then
-                      if
-                        Lock_manager.try_lock locks tid
-                          (Lock_manager.Record e.Node.le_rid)
-                          Lock_manager.S
-                      then begin
-                        if Txn_id.is_some e.Node.le_deleter then begin
-                          if not (Txn_id.equal e.Node.le_deleter tid) then
-                            Lock_manager.unlock locks tid (Lock_manager.Record e.Node.le_rid)
-                          (* committed delete: not a duplicate *)
-                        end
-                        else begin
-                          dup := Some e.Node.le_rid;
-                          raise Exit
-                        end
-                      end
-                      else begin
-                        blocked := Some e.Node.le_rid;
-                        raise Exit
-                      end)
-                  (Node.leaf_entries node)
-              with Exit -> ()
-            end
-            else begin
-              let child_memo = memo_of t frame in
-              Dyn.iter
-                (fun e ->
-                  if t.ext.Ext.consistent key e.Node.ie_bp then begin
-                    sig_lock t ctx e.Node.ie_child;
-                    stack := (e.Node.ie_child, child_memo) :: !stack
-                  end)
-                (Node.internal_entries node)
-            end);
-        match !blocked with
-        | Some rid ->
-          blocked := None;
-          Lock_manager.lock locks tid (Lock_manager.Record rid) Lock_manager.S;
-          (* Re-examine: the blocking inserter committed (duplicate) or
-             aborted (gone). *)
-          stack := (pid, memo) :: !stack
-        | None -> ()
-      done;
-      match !dup with
-      | Some rid ->
-        (* §8: the S lock on the duplicate's record alone makes the error
-           repeatable; the probe predicates can go. *)
-        hookf t "probe:dup:%a" Rid.pp rid;
-        Pm.remove_pred t.preds probe;
-        `Duplicate rid
-      | None ->
-        hook t "probe:clear";
-        `Clear probe)
+      (* The first exact match that is not a finished delete decides: it
+         is a duplicate if it S-locks; otherwise wait for its writer. *)
+      let leaf =
+        Locking
+          (fun _pid node ->
+            let exception Found of [ `Dup of Rid.t | `Blocked of Rid.t ] in
+            let check e =
+              let rid = e.Node.le_rid in
+              if t.ext.Ext.matches_exact key e.Node.le_key then
+                if Lock_manager.try_lock locks tid (Lock_manager.Record rid) Lock_manager.S then begin
+                  if not (Txn_id.is_some e.Node.le_deleter) then raise (Found (`Dup rid))
+                  else if not (Txn_id.equal e.Node.le_deleter tid) then
+                    (* committed delete: not a duplicate *)
+                    Lock_manager.unlock locks tid (Lock_manager.Record rid)
+                end
+                else raise (Found (`Blocked rid))
+            in
+            match Dyn.iter check (Node.leaf_entries node) with
+            | () -> None
+            | exception Found r -> Some r)
+      in
+      let rec loop () =
+        match !stack with
+        | [] ->
+          hook t "probe:clear";
+          `Clear probe
+        | ((pid, memo) as entry) :: rest -> (
+          stack := rest;
+          hookf t "probe:visit:%a:memo=%a" Page_id.pp pid Lsn.pp memo;
+          match visit t ~query:key ~spred:probe ~sig_lock ~leaf stack entry with
+          | Some (`Dup rid) ->
+            (* §8: the S lock on the duplicate's record alone makes the
+               error repeatable; the probe predicates can go. *)
+            hookf t "probe:dup:%a" Rid.pp rid;
+            Pm.remove_pred t.preds probe;
+            `Duplicate rid
+          | Some (`Blocked rid) ->
+            Lock_manager.lock locks tid (Lock_manager.Record rid) Lock_manager.S;
+            (* Re-examine: the blocking inserter committed (duplicate) or
+               aborted (gone). *)
+            stack := entry :: !stack;
+            loop ()
+          | None -> loop ())
+      in
+      loop ())
 
 let insert t txn ~key ~rid =
   if not t.unique then ignore (insert_entry t txn ~key ~rid)
@@ -1634,7 +1413,6 @@ let delete t txn ~key ~rid =
   let tid = Txn_manager.id txn in
   let locks = t.db.Db.locks in
   let txns = t.db.Db.txns in
-  Atomic.incr t.counters.c_deletes;
   Metrics.incr m_deletes;
   with_ctx txn ~keep_on_success:(fun _ -> []) t (fun ctx ->
       (* Two-phase lock the data record first; this is what makes scans
@@ -1648,7 +1426,7 @@ let delete t txn ~key ~rid =
         stack := List.tl !stack;
         with_node t pid Latch.X (fun frame node ->
             if Lsn.( < ) memo node.Node.nsn && Page_id.is_valid node.Node.rightlink then begin
-              note_rightlink t ~from_pid:pid ~memo node;
+              note_rightlink ~from_pid:pid ~memo node;
               sig_lock t ctx node.Node.rightlink;
               stack := (node.Node.rightlink, memo) :: !stack
             end;
@@ -1736,7 +1514,6 @@ let try_delete_node t txn ~parent ~victim =
               if (not (Node.is_leaf node)) || Node.entry_count node > 0 then false
               else begin
                 hookf t "node-delete:%a" Page_id.pp victim;
-                Atomic.incr t.counters.c_node_deletes;
                 Metrics.incr m_node_deletes;
                 let nta = Txn_manager.begin_nta txns txn in
                 let stitched =

@@ -5,10 +5,10 @@
     - {b Search} (Figure 3): stack-driven DFS with split detection via
       NSN/rightlink, predicate attachment for repeatable read, S record
       locks on qualifying entries, and latch-release-then-block when a
-      record lock would wait. Internal nodes are by default visited
-      {e latch-free} under the frame latch's version word (optimistic
-      lock coupling, PROTOCOL.md §7), falling back to the classic
-      per-node S latch on conflict; leaves always take the S latch.
+      record lock would wait. Nodes are visited {e latch-free} under the
+      frame latch's version word (optimistic lock coupling, PROTOCOL.md
+      §7), falling back to the classic per-node S latch on conflict;
+      leaves, where record locks are taken, always take the S latch.
     - {b Insert} (Figure 4): min-penalty descent without latch coupling,
       split compensation via rightlinks, recursive node splits and BP
       update propagation executed as nested top actions, the percolation
@@ -54,26 +54,18 @@ val ext : 'p t -> 'p Ext.t
 val root : 'p t -> Gist_storage.Page_id.t
 val predicate_manager : 'p t -> 'p Gist_pred.Predicate_manager.t
 
-val prefetch_pending : 'p t -> (Gist_storage.Page_id.t * Gist_wal.Lsn.t) list -> unit
-(** Hand the first [Db.config.prefetch_depth] pages of a search/cursor
-    stack to the background writer for read-ahead ([Cursor] shares it).
-    No-op without a background writer. Call with no latch held. *)
-
 val search :
   ?isolation:[ `Repeatable_read | `Read_committed ] ->
-  ?olc:bool ->
   'p t ->
   Gist_txn.Txn_manager.txn ->
   'p ->
   ('p * Gist_storage.Rid.t) list
 (** All live leaf entries whose key is consistent with the query.
 
-    [olc] overrides {!Db.config.olc} for this call (tests use it to
-    compare the optimistic and S-latched traversals on one tree): when
-    true, internal nodes are visited latch-free under the frame latch's
-    version word, restarting on conflict and falling back to the S latch
-    after [Db.config.olc_retries] attempts — see PROTOCOL.md §7. Leaf
-    visits always take the S latch. Results are identical either way.
+    Internal nodes are visited latch-free under the frame latch's version
+    word, restarting on conflict and falling back to the S latch after
+    [Db.config.olc_retries] attempts — see PROTOCOL.md §7. Leaf visits
+    always take the S latch.
 
     Under [`Repeatable_read] (the default, the paper's Degree 3): returned
     records stay S-locked and the search predicate stays attached to every
@@ -98,20 +90,6 @@ val snapshot_search : 'p t -> Db.ro -> 'p -> ('p * Gist_storage.Rid.t) list
     regardless of concurrent writers. Counted in [mvcc.snapshot_scan];
     invisible versions skipped are counted in [mvcc.version_skipped]. *)
 
-val snapshot_visit :
-  'p t ->
-  ts:int ->
-  stack:(Gist_storage.Page_id.t * Gist_wal.Lsn.t) list ref ->
-  query:'p ->
-  Gist_storage.Page_id.t ->
-  Gist_wal.Lsn.t ->
-  ('p * Gist_storage.Rid.t) list
-(** One step of the snapshot traversal: visit node [pid] (optimistically,
-    with S-latch fallback), push its consistent children — or the
-    rightlink of a missed split — onto [stack], and return the visible
-    matching leaf entries. Shared with {!Cursor.open_snapshot}; use
-    {!snapshot_search} unless you are streaming results. *)
-
 val insert : 'p t -> Gist_txn.Txn_manager.txn -> key:'p -> rid:Gist_storage.Rid.t -> unit
 (** X-locks the record, descends by penalty, splits/expands as needed, adds
     the leaf entry, and blocks on conflicting attached predicates.
@@ -133,23 +111,6 @@ val leaf_count : 'p t -> int
 val entry_count : 'p t -> int
 (** Physical leaf entries, including marked-deleted ones (diagnostic). *)
 
-(** Cumulative operation counters (domain-safe). *)
-type stats = {
-  searches : int;
-  inserts : int;
-  deletes : int;
-  splits : int;  (** Node splits, excluding root grows. *)
-  root_grows : int;
-  bp_updates : int;  (** Parent-Entry-Update atomic actions applied. *)
-  rightlink_follows : int;  (** Split compensations during traversals (§3). *)
-  gc_entries : int;  (** Marked entries physically reclaimed (§7.1). *)
-  node_deletes : int;  (** Nodes retired via the drain technique (§7.2). *)
-  pred_blocks : int;  (** Inserts that blocked on attached predicates. *)
-}
-
-val stats : 'p t -> stats
-val reset_stats : 'p t -> unit
-
 val set_hook : 'p t -> (string -> unit) -> unit
 (** Test instrumentation: invoked with event labels ("insert:split",
     "search:visit:P7", ...) at protocol decision points, letting tests
@@ -168,6 +129,64 @@ val bulk_load :
     it closes, and a checkpoint anchors the allocator — crash-safe at
     every point (before completion the pages are reclaimed by undo, after
     it the flushed images are the durable truth). *)
+
+(** {1 The read path, shared with {!Cursor}}
+
+    One node visit serves every read kind: {!search}, {!snapshot_search},
+    {!Cursor.next} and {!Cursor.snap_next} all pop a [(page, memo)] entry
+    off a traversal stack and hand it to {!visit}. Only the leaf action
+    differs between them. *)
+
+(** What a visit does at a leaf: given the leaf's page and decoded node,
+    the result {!visit} returns. *)
+type ('p, 'a) leaf =
+  | Locking of (Gist_storage.Page_id.t -> 'p Node.t -> 'a option)
+      (** Takes record locks (RR and read-committed search, the unique
+          probe): needs a stable entry list, so it always runs under the S
+          latch. *)
+  | Buffering of (Gist_storage.Page_id.t -> 'p Node.t -> 'a option)
+      (** A pure read of the entries (the locked cursor buffering them):
+          runs inside the version window. *)
+  | Snapshot of (Gist_storage.Page_id.t -> 'p Node.t -> 'a option)
+      (** A pure read inside the window, whose S-latch fallback never
+          blocks on a writer's latch (PROTOCOL.md §9). *)
+
+val start_scan :
+  ?ro:Db.ro ->
+  'p t ->
+  sig_lock:(Gist_storage.Page_id.t -> unit) ->
+  (Gist_storage.Page_id.t * Gist_wal.Lsn.t) list
+(** Count one scan at its entry — [gist.search], and with [ro] also
+    [mvcc.snapshot_scan] and a [Snapshot_scan] trace event — and return
+    its initial traversal stack: the root, passed to [sig_lock] first. *)
+
+val visit :
+  'p t ->
+  query:'p ->
+  ?spred:'p Gist_pred.Predicate_manager.pred ->
+  sig_lock:(Gist_storage.Page_id.t -> unit) ->
+  leaf:('p, 'a) leaf ->
+  (Gist_storage.Page_id.t * Gist_wal.Lsn.t) list ref ->
+  Gist_storage.Page_id.t * Gist_wal.Lsn.t ->
+  'a option
+(** [visit t ~query ?spred ~sig_lock ~leaf stack (pid, memo)] visits the
+    entry just popped off [stack] (Figure 3). It attaches [spred] to the
+    page, pins it once, and reads it latch-free, falling back to the S
+    latch. It pushes the rightlink of a missed split and the children
+    consistent with [query], placing a signaling lock on each through
+    [sig_lock]. At a leaf it returns the leaf policy's result; at an
+    internal node or a retired page, [None]. *)
+
+val snapshot_leaf : 'p t -> Db.ro -> 'p -> ('p, ('p * Gist_storage.Rid.t) list) leaf
+(** The snapshot scan's leaf policy: the entries consistent with the query
+    and visible to [ro] ([mvcc.version_skipped] counts the others). *)
+
+val writer_behind_us :
+  'p t -> tid:Gist_util.Txn_id.t -> Gist_storage.Page_id.t -> Gist_storage.Rid.t -> bool
+(** The FIFO rule of §10.3, for a record [rid] on leaf [pid] that [tid]
+    found X-locked: [true] iff the writer's insert predicate is queued
+    behind one of [tid]'s scan predicates there, so the writer waits for
+    [tid] and the scan skips its uncommitted entry instead of blocking. *)
 
 (** {1 Internals exposed for recovery and checking} *)
 

@@ -37,9 +37,6 @@ let config ?(commit_mode = Group_commit.Sync) ?(bg_writer = false) mode =
     pool_capacity = 32;
     page_size = 1024;
     full_page_writes = (match mode with Torn | Double -> true | Clean | Ragged -> false);
-    (* Fuzz what ships: searches in the workload (and the post-restart
-       scans the checker runs) traverse internal nodes latch-free. *)
-    olc = true;
     commit_mode;
     (* No adaptive stall: the fuzz workload is single-domain, so a window
        can never batch anyway — waiting would only slow the sweep. *)

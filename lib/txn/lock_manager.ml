@@ -243,7 +243,6 @@ let lock t txn name mode =
       Metrics.incr m_acquires
     end
     else begin
-      Atomic.incr t.blocked;
       Metrics.incr m_waits;
       if Trace.enabled () then
         Trace.emit
@@ -257,6 +256,10 @@ let lock t txn name mode =
       (* Deadlock check under the global registry (w -> shard ordering). *)
       Mutex.lock t.w;
       Hashtbl.replace t.waiting txn name;
+      (* Counted only once the waits-for edge is registered: a caller that
+         sees the count and then requests a lock closing a cycle finds
+         the edge in its own deadlock check, so it is the victim. *)
+      Atomic.incr t.blocked;
       let dead = would_deadlock t txn in
       if dead then begin
         Hashtbl.remove t.waiting txn;

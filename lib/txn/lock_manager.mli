@@ -66,7 +66,9 @@ val pp_mode : Format.formatter -> mode -> unit
 (** {1 Statistics} *)
 
 val blocked_count : t -> int
-(** Number of lock requests that had to wait (cumulative). *)
+(** Number of lock requests that had to wait (cumulative). A request is
+    counted once its waits-for edge is visible to other requesters'
+    deadlock checks. *)
 
 val deadlock_count : t -> int
 val reset_stats : t -> unit

@@ -185,6 +185,12 @@ let test_fuzzy_checkpoint_recovery () =
     (counter "ckpt.fuzzy" > ckpt0);
   let root = Gist.root t in
   let db' = Db.crash db in
+  (* The rebuilt environment's writer domain runs from here on; give it
+     several checkpoint intervals before restart. It must take no
+     checkpoint yet: one of the still-empty pool, transaction table and
+     allocator would move the anchor past every record restart must
+     replay. *)
+  Unix.sleepf 0.005;
   Recovery.restart db' B.ext;
   let t' = Gist.open_existing db' B.ext ~root () in
   let txn = Txn.begin_txn db'.Db.txns in

@@ -204,24 +204,40 @@ let test_mixed_workload_invariants () =
 
 let test_stats_counters () =
   let db, t = make_tree () in
+  (* The metrics registry is process-global: measure deltas over this
+     test's operations. *)
+  let snap0 = Gist_obs.Metrics.snapshot () in
   let txn = Txn.begin_txn db.Db.txns in
   for i = 1 to 100 do
     Gist.insert t txn ~key:(B.key i) ~rid:(rid i)
   done;
   ignore (Gist.search t txn (B.range 1 50));
+  (* A streaming scan counts once at its entry, like its one-shot
+     counterpart. *)
+  let c = Cursor.open_ t txn (B.range 1 50) in
+  while Cursor.next c <> None do
+    ()
+  done;
+  Cursor.close c;
   ignore (Gist.delete t txn ~key:(B.key 7) ~rid:(rid 7));
   Txn.commit db.Db.txns txn;
+  let ro = Db.begin_ro db in
+  ignore (Gist.snapshot_search t ro (B.range 1 50));
+  ignore (Cursor.snap_next (Cursor.open_snapshot t ro (B.range 1 50)));
+  Db.end_ro db ro;
   Gist.vacuum t;
-  let st = Gist.stats t in
-  Alcotest.(check int) "inserts counted" 100 st.Gist.inserts;
-  Alcotest.(check int) "searches counted" 1 st.Gist.searches;
-  Alcotest.(check int) "deletes counted" 1 st.Gist.deletes;
-  Alcotest.(check bool) "splits happened" true (st.Gist.splits > 0);
-  Alcotest.(check bool) "root grew" true (st.Gist.root_grows >= 1);
-  Alcotest.(check bool) "bp updates happened" true (st.Gist.bp_updates > 0);
-  Alcotest.(check int) "gc reclaimed the mark" 1 st.Gist.gc_entries;
-  Gist.reset_stats t;
-  Alcotest.(check int) "reset" 0 (Gist.stats t).Gist.inserts
+  let snap1 = Gist_obs.Metrics.snapshot () in
+  let d name =
+    Gist_obs.Metrics.counter_value snap1 name - Gist_obs.Metrics.counter_value snap0 name
+  in
+  Alcotest.(check int) "inserts counted" 100 (d "gist.insert");
+  Alcotest.(check int) "searches counted: search, cursor, two snapshot scans" 4 (d "gist.search");
+  Alcotest.(check int) "snapshot scans counted" 2 (d "mvcc.snapshot_scan");
+  Alcotest.(check int) "deletes counted" 1 (d "gist.delete");
+  Alcotest.(check bool) "splits happened" true (d "gist.split" > 0);
+  Alcotest.(check bool) "root grew" true (d "gist.root_grow" >= 1);
+  Alcotest.(check bool) "bp updates happened" true (d "gist.bp_update" > 0);
+  Alcotest.(check int) "gc reclaimed the mark" 1 (d "gist.gc_entry")
 
 let suite =
   [

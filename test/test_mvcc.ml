@@ -3,8 +3,9 @@
    - a qcheck equivalence property: on a quiesced tree, a snapshot scan
      (and the streaming snapshot cursor) returns exactly what a locked
      search returns, across random op histories and queries;
-   - reader isolation: snapshot scans acquire zero locks and attach zero
-     predicates — the lock.*/pred.* counters do not move;
+   - reader isolation: snapshot scans (one-shot and streaming) acquire
+     zero locks and attach zero predicates — the lock.*/pred.* counters
+     do not move;
    - a scan under a concurrent writer sees exactly the snapshot-time
      state, scan after scan, while a snapshot begun after the churn sees
      the final state;
@@ -64,6 +65,16 @@ let snap_scan db t q =
   Db.end_ro db ro;
   got
 
+let drain next c =
+  let rec go acc = match next c with None -> acc | Some hit -> go (hit :: acc) in
+  go []
+
+let snap_stream db t q =
+  let ro = Db.begin_ro db in
+  let got = drain Cursor.snap_next (Cursor.open_snapshot t ro q) in
+  Db.end_ro db ro;
+  got
+
 (* --- qcheck equivalence: snapshot == locked search, quiesced --------- *)
 
 let test_equivalence_qcheck =
@@ -96,13 +107,7 @@ let test_equivalence_qcheck =
             let q = B.range lo (lo + w) in
             let locked = with_retry db (fun txn -> sorted_keys (Gist.search t txn q)) in
             let snap = sorted_keys (Gist.snapshot_search t ro q) in
-            let streamed =
-              let c = Cursor.open_snapshot t ro q in
-              let rec drain acc =
-                match Cursor.snap_next c with None -> acc | Some hit -> drain (hit :: acc)
-              in
-              sorted_keys (drain [])
-            in
+            let streamed = sorted_keys (drain Cursor.snap_next (Cursor.open_snapshot t ro q)) in
             snap = locked && streamed = locked)
           queries
       in
@@ -125,9 +130,12 @@ let test_zero_locks_zero_preds () =
   and att0 = counter "pred.attach"
   and scans0 = counter "mvcc.snapshot_scan"
   and skipped0 = counter "mvcc.version_skipped" in
-  for _ = 1 to 10 do
-    let got = snap_scan db t (B.range 0 10_000) in
-    Alcotest.(check int) "snapshot sees the 300 live keys" 300 (List.length got)
+  for _ = 1 to 5 do
+    List.iter
+      (fun scan ->
+        let got = scan db t (B.range 0 10_000) in
+        Alcotest.(check int) "snapshot sees the 300 live keys" 300 (List.length got))
+      [ snap_scan; snap_stream ]
   done;
   Alcotest.(check int) "zero lock acquisitions across 10 snapshot scans" 0
     (counter "lock.acquire" - locks0);

@@ -1,22 +1,23 @@
-(* Optimistic lock coupling on the search path (PROTOCOL.md §7).
+(* Optimistic lock coupling on the read path (PROTOCOL.md §7).
 
    - version-word lifecycle unit tests on the latch itself;
-   - a qcheck equivalence property: OLC search == S-latch search on the
-     same tree, across random op histories and queries;
+   - a qcheck property: all five read entry points (RR search, RC search,
+     snapshot search, cursor, snapshot cursor) return exactly the
+     sequential model's keys, across random op histories and queries, at
+     the default retry budget and at olc_retries = 0 (always S-latched);
    - a concurrent mixer: writer domains churn odd keys through
      insert/split/delete while a reader searches stable even keys
      latch-free and must see exactly them;
    - a forced-restart test: a writer domain flips the root's version word
-     under the reader, which must restart (olc.restart > 0) and still
-     return correct results;
-   - knob tests: olc_retries = 0 forces the fallback path; olc = false
-     takes no optimistic attempts at all;
-   - a crash-fuzz re-run (clean mode) pinned to olc = true, the
-     configuration [Crash_fuzz.config] now ships.
+     under locked and snapshot readers, which must restart
+     (olc.restart > 0) and still return correct results;
+   - olc_retries = 0 forces the fallback path;
+   - a crash-fuzz re-run (clean mode), whose workload and post-restart
+     scans traverse latch-free.
 
-   The mixer and flipper searches run at Read_committed: OLC only changes
-   internal-node visits, and degree-2 keeps the reader's record locks
-   instant-duration so the churn domains never deadlock against it. *)
+   The mixer and flipper searches run at Read_committed: degree-2 keeps
+   the reader's record locks instant-duration so the churn domains never
+   deadlock against it. *)
 
 open Gist_core
 module B = Gist_ams.Btree_ext
@@ -85,42 +86,61 @@ let test_latch_version_word () =
   Alcotest.(check bool) "a fresh snapshot validates while nothing moves" true
     (Latch.validate l v1)
 
-(* --- qcheck equivalence: OLC == S-latch on a quiescent tree ---------- *)
+(* --- qcheck: every read entry point equals the sequential model ------ *)
 
-let test_equivalence_qcheck =
-  QCheck.Test.make ~count:40 ~name:"OLC search equals S-latch search"
+let drain next c =
+  let rec go acc = match next c with None -> acc | Some hit -> go (hit :: acc) in
+  go []
+
+(* The keys each of the five read entry points returns for [q]. *)
+let read_entry_points db t q =
+  let rr, rc, cursor =
+    with_retry db (fun txn ->
+        let c = Cursor.open_ t txn q in
+        let cursor = drain Cursor.next c in
+        Cursor.close c;
+        (Gist.search t txn q, Gist.search ~isolation:`Read_committed t txn q, cursor))
+  in
+  let ro = Db.begin_ro db in
+  let snapshot = Gist.snapshot_search t ro q in
+  let snap_cursor = drain Cursor.snap_next (Cursor.open_snapshot t ro q) in
+  Db.end_ro db ro;
+  List.map sorted_keys [ rr; rc; snapshot; cursor; snap_cursor ]
+
+let test_model_qcheck =
+  QCheck.Test.make ~count:40 ~name:"read entry points equal the sequential model"
     QCheck.(
       pair (small_list (pair (int_bound 500) bool)) (small_list (pair (int_bound 500) (int_bound 60))))
     (fun (ops, queries) ->
-      let db, t = make_tree () in
-      let txn = Txn.begin_txn db.Db.txns in
-      let present = Hashtbl.create 64 in
-      List.iter
-        (fun (k, ins) ->
-          if ins then begin
-            if not (Hashtbl.mem present k) then begin
-              Gist.insert t txn ~key:(B.key k) ~rid:(rid k);
-              Hashtbl.replace present k ()
-            end
-          end
-          else if Hashtbl.mem present k then begin
-            ignore (Gist.delete t txn ~key:(B.key k) ~rid:(rid k));
-            Hashtbl.remove present k
-          end)
-        ops;
-      Txn.commit db.Db.txns txn;
-      let txn = Txn.begin_txn db.Db.txns in
-      let ok =
-        List.for_all
-          (fun (lo, w) ->
-            let q = B.range lo (lo + w) in
-            let optimistic = sorted_keys (Gist.search ~olc:true t txn q) in
-            let latched = sorted_keys (Gist.search ~olc:false t txn q) in
-            optimistic = latched)
-          queries
-      in
-      Txn.commit db.Db.txns txn;
-      ok)
+      List.for_all
+        (fun olc_retries ->
+          let db, t = make_tree ~config:{ small_config with Db.olc_retries } () in
+          let txn = Txn.begin_txn db.Db.txns in
+          let present = Hashtbl.create 64 in
+          List.iter
+            (fun (k, ins) ->
+              if ins then begin
+                if not (Hashtbl.mem present k) then begin
+                  Gist.insert t txn ~key:(B.key k) ~rid:(rid k);
+                  Hashtbl.replace present k ()
+                end
+              end
+              else if Hashtbl.mem present k then begin
+                ignore (Gist.delete t txn ~key:(B.key k) ~rid:(rid k));
+                Hashtbl.remove present k
+              end)
+            ops;
+          Txn.commit db.Db.txns txn;
+          List.for_all
+            (fun (lo, w) ->
+              let expect =
+                Hashtbl.fold (fun k () acc -> if k >= lo && k <= lo + w then k :: acc else acc)
+                  present []
+                |> List.sort compare
+              in
+              List.for_all (( = ) expect) (read_entry_points db t (B.range lo (lo + w))))
+            queries)
+        [ small_config.Db.olc_retries; 0 ])
 
 (* --- concurrent mixer: stable evens must read exactly ---------------- *)
 
@@ -153,7 +173,7 @@ let test_concurrent_mixer () =
     let expect = List.filter (fun k -> k >= lo && k <= lo + 100) evens in
     let got =
       with_retry db (fun txn ->
-          Gist.search ~isolation:`Read_committed ~olc:true t txn (B.range lo (lo + 100)))
+          Gist.search ~isolation:`Read_committed t txn (B.range lo (lo + 100)))
     in
     let got_evens = List.filter (fun k -> k mod 2 = 0) (sorted_keys got) in
     Alcotest.(check (list int))
@@ -167,12 +187,12 @@ let test_concurrent_mixer () =
   Alcotest.(check bool) "optimistic visits actually happened" true
     (counter "olc.read_attempt" > attempts0);
   Alcotest.(check int) "no latches leaked" 0 (Latch.held_by_self ());
-  (* Quiesced: both traversals agree on the final tree. *)
+  (* Quiesced: every odd key was deleted again, so exactly the evens
+     remain. *)
   let txn = Txn.begin_txn db.Db.txns in
-  let o = sorted_keys (Gist.search ~olc:true t txn (B.range 0 10_000)) in
-  let s = sorted_keys (Gist.search ~olc:false t txn (B.range 0 10_000)) in
+  let final = sorted_keys (Gist.search t txn (B.range 0 10_000)) in
   Txn.commit db.Db.txns txn;
-  Alcotest.(check (list int)) "post-mixer OLC == S-latch" s o;
+  Alcotest.(check (list int)) "post-mixer tree holds exactly the evens" evens final;
   check_tree t
 
 (* --- forced restarts: a writer flips the version word mid-read ------- *)
@@ -202,13 +222,18 @@ let test_forced_restarts () =
   let deadline = Unix.gettimeofday () +. 0.5 in
   let n = ref 0 in
   while Unix.gettimeofday () < deadline do
-    let got =
-      with_retry db (fun txn ->
-          Gist.search ~isolation:`Read_committed ~olc:true t txn (B.range 0 1_000))
-    in
-    Alcotest.(check int)
-      (Printf.sprintf "search %d sees every key through the flipping" !n)
-      (List.length keys) (List.length got);
+    let q = B.range 0 1_000 in
+    let got = with_retry db (fun txn -> Gist.search ~isolation:`Read_committed t txn q) in
+    let ro = Db.begin_ro db in
+    let snap = Gist.snapshot_search t ro q in
+    let streamed = drain Cursor.snap_next (Cursor.open_snapshot t ro q) in
+    Db.end_ro db ro;
+    List.iter
+      (fun (what, hits) ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s %d sees every key through the flipping" what !n)
+          (List.length keys) (List.length hits))
+      [ ("search", got); ("snapshot search", snap); ("snapshot cursor", streamed) ];
     incr n
   done;
   Atomic.set stop true;
@@ -216,10 +241,10 @@ let test_forced_restarts () =
   Alcotest.(check bool) "version flips forced restarts" true (counter "olc.restart" > restarts0);
   Alcotest.(check int) "no latches leaked" 0 (Latch.held_by_self ())
 
-(* --- knobs ----------------------------------------------------------- *)
+(* --- retry budget ---------------------------------------------------- *)
 
 let test_zero_retries_falls_back () =
-  let config = { small_config with Db.olc = true; olc_retries = 0 } in
+  let config = { small_config with Db.olc_retries = 0 } in
   let db, t = make_tree ~config () in
   let txn = Txn.begin_txn db.Db.txns in
   List.iter (fun k -> Gist.insert t txn ~key:(B.key k) ~rid:(rid k)) (List.init 200 Fun.id);
@@ -232,24 +257,11 @@ let test_zero_retries_falls_back () =
     (counter "olc.fallback" > fallbacks0);
   Alcotest.(check int) "no optimistic attempt was made" attempts0 (counter "olc.read_attempt")
 
-let test_olc_off_takes_latches () =
-  let config = { small_config with Db.olc = false } in
-  let db, t = make_tree ~config () in
-  let txn = Txn.begin_txn db.Db.txns in
-  List.iter (fun k -> Gist.insert t txn ~key:(B.key k) ~rid:(rid k)) (List.init 200 Fun.id);
-  let attempts0 = counter "olc.read_attempt" in
-  Alcotest.(check int) "classic path answers correctly" 200
-    (List.length (Gist.search t txn (B.range 0 1_000)));
-  Txn.commit db.Db.txns txn;
-  Alcotest.(check int) "olc = false means zero optimistic reads" attempts0
-    (counter "olc.read_attempt")
-
-(* --- crash fuzz with OLC pinned on ----------------------------------- *)
+(* --- crash fuzz through the optimistic read path --------------------- *)
 
 let test_crash_fuzz_with_olc () =
-  (* [Crash_fuzz.config] sets olc = true; a clean-mode slice of the sweep
-     exercises crash/recover cycles whose workload and post-restart
-     oracle scans both traverse latch-free. *)
+  (* A clean-mode slice of the sweep: crash/recover cycles whose workload
+     and post-restart oracle scans both traverse latch-free. *)
   let s = Crash_fuzz.run_mode ~seed:20260808 ~points:25 Crash_fuzz.Clean in
   List.iter (fun v -> Alcotest.failf "oracle violation under OLC: %s" v) s.Crash_fuzz.violations;
   Alcotest.(check bool) "the sweep crashed at least once" true (s.Crash_fuzz.crashes > 0)
@@ -259,13 +271,13 @@ let force_restarts = Sys.getenv_opt "OLC_FORCE_RESTARTS" <> None
 let suite =
   [
     Alcotest.test_case "latch version-word lifecycle" `Quick test_latch_version_word;
-    QCheck_alcotest.to_alcotest test_equivalence_qcheck;
+    QCheck_alcotest.to_alcotest test_model_qcheck;
     Alcotest.test_case "concurrent mixer: OLC reads stay exact" `Quick test_concurrent_mixer;
     Alcotest.test_case "writer flips versions: reader restarts" `Quick test_forced_restarts;
     Alcotest.test_case "olc_retries = 0 forces the fallback path" `Quick
       test_zero_retries_falls_back;
-    Alcotest.test_case "olc = false takes no optimistic reads" `Quick test_olc_off_takes_latches;
-    Alcotest.test_case "crash-fuzz (clean mode) with olc = true" `Quick test_crash_fuzz_with_olc;
+    Alcotest.test_case "crash-fuzz (clean mode) on the optimistic read path" `Quick
+      test_crash_fuzz_with_olc;
   ]
   @
   (* bin/check.sh --force-restarts: re-run the adversarial pair a few more
