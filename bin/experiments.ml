@@ -1360,14 +1360,14 @@ let e16 ~duration_s ~domain_list =
   print_endline
     "Commit-bound workload: one-update transactions against a preloaded tree\n\
      with a 1 ms simulated log-device flush (a cloud-block-store fsync), so each\n\
-     commit's cost is its durability. sync pays one device flush per commit\n\
-     (the PR-5 status quo);\n\
-     group enqueues to the dedicated log-writer domain, which coalesces every\n\
-     request arriving during a flush window into one device write and wakes\n\
-     all covered waiters; async additionally returns before the flush —\n\
-     durability trails by one window (an async commit may roll back after a\n\
-     crash, atomically; PROTOCOL.md §8). Per cell: commit throughput, commit\n\
-     latency p50/p99, physical flushes, and the mean flush-window size.\n\
+     commit's cost is its durability. sync pays one device flush per commit;\n\
+     group runs leader/follower in the committing domains: the first waiter\n\
+     with no flush in flight flushes everything published in one device write\n\
+     and wakes the followers, whose successors batch behind that flush; async\n\
+     returns before the flush and a trailer domain makes it durable behind the\n\
+     commit (an async commit may roll back after a crash, atomically;\n\
+     PROTOCOL.md §8). Per cell: commit throughput, commit\n\
+     latency p50/p99, physical flushes, and the mean group size.\n\
      Raw curves land in BENCH_6.json.";
   let wal_flush_delay_ns = 1_000_000 in
   let mode_names = [ "sync"; "group"; "async" ] in
@@ -1375,12 +1375,7 @@ let e16 ~duration_s ~domain_list =
     let commit_mode =
       match Gist_wal.Group_commit.mode_of_string mode with Some m -> m | None -> assert false
     in
-    (* group_wait_us well under the device latency: a shrinking window
-       stalls briefly so it refills — without it every pipeline bubble
-       spends a full device slot on a fraction of the committers. *)
-    let config =
-      { small_tree_config with Db.commit_mode; wal_flush_delay_ns; group_wait_us = 300 }
-    in
+    let config = { small_tree_config with Db.commit_mode; wal_flush_delay_ns } in
     let db, t = make_btree ~config () in
     Workload.Btree.preload db t ~n:2_000;
     let body ~worker ~rng ~txn =
@@ -1477,7 +1472,7 @@ let e16 ~duration_s ~domain_list =
     let an, _, _, _ = get "async" pmn in
     Printf.printf
       "sync %.0f -> %.0f txn/s across the sweep; at %d domains group commit is %.1fx sync \
-       (async %.1fx) with a mean window of %.1f commits per device write\n"
+       (async %.1fx) with a mean group of %.1f commits per device write\n"
       s1 sn dn (gn /. sn) (an /. sn) (group_size dg)
   | _ -> ());
   (* One machine-parseable line so BENCH_6.json regenerates from captured
@@ -1506,9 +1501,10 @@ let e16 ~duration_s ~domain_list =
   print_endline (Buffer.contents buf);
   print_endline
     "Expected shape: sync stays pinned near 1/flush_delay commits per second\n\
-     per domain-independent device; group climbs with domains as windows\n\
-     batch (>=5x sync at 8 domains, mean window > 2); async decouples commit\n\
-     latency from the device entirely (p50 well under the flush delay);\n\
+     per domain-independent device; group is at or above sync at 1 domain\n\
+     and climbs with domains as batches form behind the flush in flight\n\
+     (mean group > 1 from 2 domains); async decouples commit latency from\n\
+     the device entirely (p50 well under the flush delay);\n\
      latches_held_across_io identically 0.";
   (* CI smoke floor: E16_FLOOR_OPS asserts the largest-domain group-mode
      cell (conservatively low; flags a collapsed commit path). *)

@@ -26,7 +26,6 @@ type config = {
   node_cache : bool;
   olc_retries : int;
   commit_mode : Group_commit.mode;
-  group_wait_us : int;
   wal_flush_delay_ns : int;
   eviction_policy : Buffer_pool.policy;
   bg_writer : bool;
@@ -48,7 +47,6 @@ let default_config =
     node_cache = true;
     olc_retries = 8;
     commit_mode = Group_commit.Sync;
-    group_wait_us = 50;
     wal_flush_delay_ns = 0;
     eviction_policy = Buffer_pool.Two_q;
     bg_writer = false;
@@ -268,14 +266,16 @@ let attach ~recovering ~config ~disk ~log =
   in
   let locks = Gist_txn.Lock_manager.create () in
   let txns = Gist_txn.Txn_manager.create ~log ~locks in
-  (* Sync spawns no writer domain: the default configuration costs nothing
-     and tears down nothing. Group/Async own a live log-writer until
-     [close] (drain) or [crash] (discard). *)
+  (* Group commits flush leader/follower in the committing domains, so
+     only Async spawns a domain: the trailer that makes its commits
+     durable behind them, owned until [close] (drain) or [crash]
+     (discard). *)
   let group =
     match config.commit_mode with
     | Group_commit.Sync -> None
-    | Group_commit.Group | Group_commit.Async ->
-      let g = Group_commit.create ~wait_us:config.group_wait_us log in
+    | Group_commit.Group -> Some (Group_commit.create log)
+    | Group_commit.Async ->
+      let g = Group_commit.create log in
       Group_commit.start g;
       Some g
   in
@@ -298,8 +298,8 @@ let attach ~recovering ~config ~disk ~log =
       deferred_free = [];
     }
   in
-  (* The background writer/checkpointer domain, like the group-commit
-     writer, is owned by this environment. Its checkpoint callback closes
+  (* The background writer/checkpointer domain, like the Async trailer,
+     is owned by this environment. Its checkpoint callback closes
      over [db] so fuzzy checkpoints go through the same machinery as
      explicit ones. *)
   if config.bg_writer then begin
@@ -346,7 +346,8 @@ let close t =
   match t.group with None -> () | Some g -> Group_commit.stop g
 
 (* Kill the writer domains in place, discarding their in-flight work — the
-   background flusher mid-pass, the log writer with its un-flushed window.
+   background flusher mid-pass, the Async trailer with its un-flushed
+   window — and cut group commit's power (no leader flush starts after).
    Idempotent, and deliberately does NOT rewind any state: the fault
    harness must be able to stop the domains while its hooks are still
    armed, *before* the log is truncated, or a flusher could write back a

@@ -57,15 +57,13 @@ type config = {
           traversals always latch. See PROTOCOL.md §7 and experiment E15. *)
   commit_mode : Gist_wal.Group_commit.mode;
       (** How commits obtain durability: [Sync] (default) forces the log
-          inline; [Group] enqueues to a dedicated log-writer domain and
-          waits for its batched flush; [Async] enqueues without waiting —
-          locks release immediately and durability trails by one flush
-          window, so an async-committed transaction may roll back
-          (atomically) after a crash. PROTOCOL.md §8; experiment E16. *)
-  group_wait_us : int;
-      (** Adaptive flush-window bound for [Group]/[Async]: the most extra
-          microseconds a lone commit stalls to let a batch form (only
-          after a batched window — an idle writer flushes immediately). *)
+          inline; [Group] waits for a leader/follower batched flush run by
+          the committing domains themselves; [Async] does not wait — locks
+          release immediately and a trailer domain makes the commit
+          durable behind it, so an async-committed transaction may roll
+          back (atomically) after a crash. Read-only transactions log
+          nothing and wait for nothing in every mode. PROTOCOL.md §8;
+          experiment E16. *)
   wal_flush_delay_ns : int;
       (** Simulated log-device latency per physical flush
           ({!Gist_wal.Log_manager.set_flush_delay_ns}); the commit-path
@@ -81,7 +79,7 @@ type config = {
           every pool shard — foreground evictions then never write back a
           dirty page ([bp.fg_writeback] = 0) — and services range-scan
           prefetch. Off by default; owned by this environment like the
-          group-commit writer ([close] drains it, [crash] halts it). *)
+          Async trailer ([close] drains it, [crash] halts it). *)
   checkpoint_interval_us : int;
       (** With [bg_writer], take a fuzzy checkpoint (the same
           DPT + txn-table anchor as {!checkpoint}) every this many
@@ -122,8 +120,9 @@ type t = {
   locks : Gist_txn.Lock_manager.t;
   txns : Gist_txn.Txn_manager.t;
   group : Gist_wal.Group_commit.t option;
-      (** The group-commit writer ([Some] iff [commit_mode] is [Group] or
-          [Async]); owned by this environment — [close]/[crash] end it. *)
+      (** Group commit ([Some] iff [commit_mode] is [Group] or [Async]; a
+          trailer domain runs only for [Async]); owned by this environment
+          — [close]/[crash] end it. *)
   mutable bg : Gist_storage.Bg_writer.t option;
       (** The background writer/checkpointer domain ([Some] iff
           [config.bg_writer]); owned by this environment — [close] drains
@@ -143,24 +142,26 @@ val create : ?config:config -> unit -> t
 
 val close : t -> unit
 (** Clean shutdown of the environment's background machinery: drain and
-    join the group-commit writer domain (every enqueued commit is durable
-    on return). A no-op in [Sync] mode. Call before dropping a
-    [Group]/[Async] environment — domains are not garbage-collected. *)
+    join the Async trailer (every enqueued commit is durable on return)
+    and the background writer. A no-op without either. Call before
+    dropping an [Async] or [bg_writer] environment — domains are not
+    garbage-collected. *)
 
 val halt_domains : t -> unit
 (** Kill the environment's writer domains (background flusher/checkpointer,
-    group-commit log writer) in place, discarding in-flight work, without
-    rewinding any other state. Idempotent; [crash] calls it first. The
+    Async trailer) in place, discarding in-flight work, and halt group
+    commit (a leader flush in flight completes first; none starts after),
+    without rewinding any other state. Idempotent; [crash] calls it first. The
     fault harness uses it to stop the domains while its hooks are still
     armed, before truncating the log, so no post-power-loss write-back can
     land a page whose records the truncation discards. *)
 
 val crash : t -> t
 (** Simulate a failure: volatile state and the unforced log tail are lost
-    — including durability requests still queued in the group-commit
-    writer's window, whose domain is halted un-drained — and the returned
-    environment shares the disk and durable log (spawning a fresh writer
-    if the config calls for one; a fresh background writer takes no
+    — including durability requests still queued for the Async trailer,
+    which is halted un-drained — and the returned environment shares the
+    disk and durable log (spawning a fresh trailer if the config calls
+    for one; a fresh background writer takes no
     checkpoint until {!Recovery.restart} has run). The old value must not
     be used afterwards. *)
 

@@ -38,9 +38,6 @@ let config ?(commit_mode = Group_commit.Sync) ?(bg_writer = false) mode =
     page_size = 1024;
     full_page_writes = (match mode with Torn | Double -> true | Clean | Ragged -> false);
     commit_mode;
-    (* No adaptive stall: the fuzz workload is single-domain, so a window
-       can never batch anyway — waiting would only slow the sweep. *)
-    group_wait_us = 0;
     (* With the background writer: aggressive fuzzy checkpoints (so crash
        points land between/inside them) and scan prefetch, putting the
        flusher domain's own I/O inside the fault-injection stream. *)
@@ -467,8 +464,9 @@ let run_point ?(commit_mode = Group_commit.Sync) ?(bg_writer = false) ?(snapshot
       check_idempotent ~label db' bt' rt' got_b got_r bad
     end
   end;
-  (* The recovered environment spawned a fresh log-writer domain in
-     Group/Async mode — a sweep leaks hundreds of domains without this. *)
+  (* The recovered environment spawned a fresh Async trailer domain (and
+     a background writer with [bg_writer]) — a sweep leaks hundreds of
+     domains without this. *)
   Db.close db';
   let latched1 = Metrics.counter_value (Metrics.snapshot ()) "latches_held_across_io" in
   if latched1 - latched0 <> 0 then

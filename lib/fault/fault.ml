@@ -180,9 +180,9 @@ let on_append t =
   end
 
 (* Counted at the durability *request* — [force]/[force_all] entry and
-   [Group_commit.submit] — in the requesting domain, never in the
-   log-writer domain; the count is the same however many requests each
-   physical flush later absorbs, so schedules stay seed-deterministic
+   [Group_commit.submit] — in the requesting domain, never inside a
+   group-commit leader's flush; the count is the same however many
+   requests each physical flush later absorbs, so schedules stay seed-deterministic
    across commit modes. A crash here is the power dying with a commit's
    flush request in flight: the commit record is appended but (unless a
    neighbor already covered it) not durable. *)

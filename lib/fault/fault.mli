@@ -30,9 +30,9 @@ exception Io_error
 type site = Disk_read | Disk_write | Wal_append | Wal_flush
 (** Hook points events are counted at (each counted from 1 per arming).
     [Wal_flush] counts durability {e requests} — [Log_manager.force] entry
-    and [Group_commit.submit] — in the requesting domain (never the
-    log-writer domain), so one count per commit regardless of how many
-    requests each physical flush window absorbs: schedules stay
+    and [Group_commit.submit] — in the requesting domain (never inside a
+    group-commit leader's flush), so one count per commit regardless of
+    how many requests each physical flush absorbs: schedules stay
     seed-deterministic across commit modes. A crash there is power dying
     between a commit record's append and its durability. *)
 

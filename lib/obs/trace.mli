@@ -46,8 +46,8 @@ type event =
   | Wal_force of { lsn : int64 }
       (** The log was forced durable up to [lsn]. *)
   | Group_flush of { lsn : int64; group : int }
-      (** The group-commit writer flushed one window: a single device write
-          made [lsn] durable on behalf of [group] coalesced requests. *)
+      (** A group-commit leader flushed: a single device write made [lsn]
+          durable on behalf of [group] coalesced requests. *)
   | Fault_inject of { site : string; seq : int }
       (** A fault-injection plan fired at hook [site] (e.g. ["disk.write"])
           on the [seq]-th event of that site since arming. *)

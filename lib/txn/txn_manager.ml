@@ -18,7 +18,8 @@ let m_ntas =
 let m_force_elided =
   Metrics.counter ~unit_:"ops"
     ~help:"durability barriers dropped because the caller did not need one (rollback: an \
-           un-forced abort is re-derived by restart, so the force bought nothing)"
+           un-forced abort is re-derived by restart; a read-only commit logged nothing to \
+           make durable)"
     "wal.force_elided"
 
 let h_commit_latency =
@@ -119,11 +120,13 @@ let find t tid =
   Mutex.unlock sh.sm;
   r
 
+(* A transaction enters the live table (and X-locks its own id, §10.3)
+   at begin, but writes nothing to the log until its first update: a
+   read-only transaction leaves no trace in the log at all. *)
 let begin_txn t =
   Metrics.incr m_begins;
   let tid = Txn_id.of_int (Atomic.fetch_and_add t.next_id 1) in
-  let lsn = Log_manager.append t.log ~txn:tid ~prev:Lsn.nil Log_record.Begin in
-  let txn = { tid; last = lsn; begin_lsn = lsn; status = Log_record.Active; savepoints = [] } in
+  let txn = { tid; last = Lsn.nil; begin_lsn = Lsn.nil; status = Log_record.Active; savepoints = [] } in
   let sh = shard t.table tid in
   Mutex.lock sh.sm;
   Hashtbl.replace sh.stbl tid txn;
@@ -131,7 +134,26 @@ let begin_txn t =
   Lock_manager.lock t.lock_mgr tid (Lock_manager.Txn tid) Lock_manager.X;
   txn
 
+(* Whether [txn] has appended anything. Restart-restored transactions
+   always have (their [last] comes from the log). *)
+let logged txn = not (Lsn.equal txn.last Lsn.nil)
+
+(* The lazy Begin is appended under the transaction's table-shard mutex,
+   with [begin_lsn] and [last] set before it is released. A checkpoint's
+   [active_txns] capture takes the same mutex, so it sees either no
+   record of this transaction (and its Begin lands after the capture, so
+   after [Checkpoint_begin]) or a [last] at or below every record the
+   transaction will append — the capture-order argument of
+   [Db.checkpoint] holds unchanged. [Mutex.protect]: an injected crash
+   raised by the append must not leave the shard locked. *)
+let log_begin t txn =
+  Mutex.protect (shard t.table txn.tid).sm (fun () ->
+      let lsn = Log_manager.append t.log ~txn:txn.tid ~prev:Lsn.nil Log_record.Begin in
+      txn.begin_lsn <- lsn;
+      txn.last <- lsn)
+
 let log_update t txn ?(ext = "") payload =
+  if not (logged txn) then log_begin t txn;
   let lsn = Log_manager.append t.log ~txn:txn.tid ~prev:txn.last ~ext payload in
   txn.last <- lsn;
   lsn
@@ -158,23 +180,21 @@ let drop t txn =
   Mutex.unlock sh.sm
 
 (* Durability per commit mode. [Sync] is the classic path: this committer
-   pays the physical flush itself. [Group] hands the LSN to the log-writer
-   domain and blocks until its window flush covers it — same contract,
-   one device write amortized over the window. [Async] enqueues and
-   returns: locks and predicates release immediately and durability
-   trails by one flush window (an async-committed transaction may roll
-   back — atomically — after a crash; PROTOCOL.md §8). With no writer
-   wired (plain [create], or the writer stopped), every mode degrades to
-   a safe inline flush except [Async], which legitimately leaves the
-   record volatile. *)
+   pays the physical flush itself. [Group] runs leader/follower in this
+   domain: follow the flush in flight, or lead the next one — same
+   contract, one device write per batch. [Async] hands the LSN to the
+   trailer and returns: locks and predicates release immediately and
+   durability trails (an async-committed transaction may roll back —
+   atomically — after a crash; PROTOCOL.md §8). With no group commit
+   wired (plain [create]) every mode forces inline. *)
 let commit_durability t lsn =
   match (t.commit_mode, t.group) with
   | Group_commit.Sync, _ | _, None -> Log_manager.force t.log lsn
   | Group_commit.Group, Some g -> Group_commit.submit ~wait:true g lsn
   | Group_commit.Async, Some g -> Group_commit.submit ~wait:false g lsn
 
-(* Durability independent of the configured route: wait on the writer's
-   window if one is wired, flush inline otherwise. *)
+(* Durability independent of the configured route: a waiting group-commit
+   submit if one is wired, an inline force otherwise. *)
 let forced_durability t lsn =
   match t.group with
   | Some g -> Group_commit.submit ~wait:true g lsn
@@ -202,14 +222,23 @@ let assign_cts t tid =
 let commit ?(durability = `Mode) t txn =
   Metrics.incr m_commits;
   Metrics.time_ns h_commit_latency (fun () ->
-      let commit_rec = log_update t txn Log_record.Commit in
-      (match durability with
-      | `Mode -> commit_durability t commit_rec
-      | `Force -> forced_durability t commit_rec);
+      (* A transaction that logged nothing only read: it has no Commit
+         record to force and nothing a snapshot could see, so it takes
+         neither a durability wait nor a commit timestamp (PROTOCOL.md
+         §8). It still ends like any other: end hooks, live table,
+         locks. *)
+      let logged = logged txn in
+      if logged then begin
+        let commit_rec = log_update t txn Log_record.Commit in
+        match durability with
+        | `Mode -> commit_durability t commit_rec
+        | `Force -> forced_durability t commit_rec
+      end
+      else Metrics.incr m_force_elided;
       txn.status <- Log_record.Committed;
-      assign_cts t txn.tid;
+      if logged then assign_cts t txn.tid;
       run_end_hooks t txn.tid;
-      ignore (log_update t txn Log_record.End);
+      if logged then ignore (log_update t txn Log_record.End);
       drop t txn;
       Lock_manager.release_all t.lock_mgr txn.tid)
 
@@ -248,10 +277,13 @@ let undo_chain t txn ~stop_at =
 let abort t txn =
   Metrics.incr m_aborts;
   txn.status <- Log_record.Aborting;
-  ignore (log_update t txn Log_record.Abort);
+  (* A transaction that logged nothing has nothing to undo and ends
+     without an Abort/End pair. *)
+  let logged = logged txn in
+  if logged then ignore (log_update t txn Log_record.Abort);
   undo_chain t txn ~stop_at:Lsn.nil;
   run_end_hooks t txn.tid;
-  ignore (log_update t txn Log_record.End);
+  if logged then ignore (log_update t txn Log_record.End);
   (* No durability barrier: if the un-forced Abort/CLR tail is lost in a
      crash, restart re-derives the very same rollback from the prefix —
      forcing here bought nothing but a device write on the abort path. A
@@ -370,7 +402,9 @@ let active_txns t =
     (fun acc sh ->
       Mutex.lock sh.sm;
       let acc =
-        Hashtbl.fold (fun tid txn acc -> (tid, txn.status, txn.last) :: acc) sh.stbl acc
+        Hashtbl.fold
+          (fun tid txn acc -> if logged txn then (tid, txn.status, txn.last) :: acc else acc)
+          sh.stbl acc
       in
       Mutex.unlock sh.sm;
       acc)
@@ -378,14 +412,21 @@ let active_txns t =
 
 let commit_lsn t =
   (* Snapshot the log position before scanning the shards: a transaction
-     that begins mid-scan (and is missed) appended its Begin record after
-     this read, so its begin_lsn is >= the snapshot — the fold-with-limit
-     stays a valid lower bound without a global table lock. *)
+     whose lazy Begin is missed by the scan appended it after this read
+     (it holds its shard mutex across the append), so its begin_lsn is >=
+     the snapshot — the fold-with-limit stays a valid lower bound without
+     a global table lock. A transaction that has logged nothing owns no
+     record on any page and is skipped; its nil begin_lsn would otherwise
+     pin the bound at the start of the log. *)
   let limit = Int64.add (Log_manager.last_lsn t.log) 1L in
   Array.fold_left
     (fun acc sh ->
       Mutex.lock sh.sm;
-      let acc = Hashtbl.fold (fun _ txn acc -> Lsn.min acc txn.begin_lsn) sh.stbl acc in
+      let acc =
+        Hashtbl.fold
+          (fun _ txn acc -> if logged txn then Lsn.min acc txn.begin_lsn else acc)
+          sh.stbl acc
+      in
       Mutex.unlock sh.sm;
       acc)
     limit t.table

@@ -12,13 +12,20 @@
     predicate manager uses that to let operations "block on a predicate"
     by S-locking the owner's id (§10.3).
 
+    A transaction's Begin record is written lazily, with its first
+    [log_update]/[log_nta]: a transaction that only reads logs nothing.
+    Its commit or abort then writes no Commit, Abort or End record, takes
+    no durability wait and no commit timestamp — it only runs the end
+    hooks, leaves the live table and releases its locks (PROTOCOL.md §8).
+
     Commit obtains durability for the Commit record before releasing locks
-    — inline ([Sync]), via the group-commit writer ([Group]), or not at
-    all until the next flush window ([Async], pipelined durability) — then
-    writes End; see [set_durability]. Abort deliberately takes {e no}
-    durability barrier: a crash that loses the un-forced rollback tail
-    just makes restart redo the same rollback ([wal.force_elided] counts
-    the saved device writes). *)
+    — inline ([Sync]), by leader/follower group commit in the committing
+    domain ([Group]), or not at all until the trailer catches up
+    ([Async], pipelined durability) — then writes End; see
+    [set_durability]. Abort deliberately takes {e no} durability barrier:
+    a crash that loses the un-forced rollback tail just makes restart redo
+    the same rollback. [wal.force_elided] counts the saved barriers of
+    both aborts and read-only commits. *)
 
 type t
 
@@ -37,10 +44,11 @@ val set_undo_handler : t -> (txn -> Gist_wal.Log_record.t -> unit) -> unit
 
 val set_durability : t -> mode:Gist_wal.Group_commit.mode -> group:Gist_wal.Group_commit.t option -> unit
 (** Route commit durability: [Sync] (the [create] default) forces the log
-    inline; [Group] submits to [group]'s log-writer domain and waits;
-    [Async] submits without waiting — locks release immediately and
-    durability trails by one flush window (PROTOCOL.md §8). [Group]/
-    [Async] degrade to the safe [Sync] behavior when [group] is [None]. *)
+    inline; [Group] submits to [group] and waits, leading or following a
+    batched flush in the committing domain; [Async] submits without
+    waiting — locks release immediately and [group]'s trailer makes the
+    commit durable behind it (PROTOCOL.md §8). [Group]/[Async] degrade to
+    the safe [Sync] behavior when [group] is [None]. *)
 
 val commit_mode : t -> Gist_wal.Group_commit.mode
 (** The durability route commits currently take. *)
@@ -54,12 +62,16 @@ val locks : t -> Lock_manager.t
 val log : t -> Gist_wal.Log_manager.t
 
 val begin_txn : t -> txn
+(** Start a transaction: enter it in the live table and X-lock its own
+    id. Nothing is logged until its first update. *)
+
 val id : txn -> Gist_util.Txn_id.t
 val last_lsn : txn -> Gist_wal.Lsn.t
 val find : t -> Gist_util.Txn_id.t -> txn option
 
 val log_update : t -> txn -> ?ext:string -> Gist_wal.Log_record.payload -> Gist_wal.Lsn.t
-(** Append a record owned by [txn] (backchained) and advance its last LSN.
+(** Append a record owned by [txn] (backchained) and advance its last LSN;
+    the first one is preceded by the transaction's Begin record.
     For CLRs, the [undo_next] inside the payload governs further undo.
     [ext] tags the record with its access method for recovery dispatch. *)
 
@@ -70,7 +82,9 @@ val log_nta : t -> txn -> ?ext:string -> Gist_wal.Log_record.payload -> Gist_wal
     documentation. *)
 
 val begin_nta : t -> txn -> Gist_wal.Lsn.t
-(** Remember the backchain position; pair with [end_nta]. *)
+(** Remember the backchain position; pair with [end_nta]. [Lsn.nil] when
+    [txn] has logged nothing yet: the NTA's closing CLR then ends undo at
+    nil, which skips only the Begin record. *)
 
 val end_nta : t -> txn -> Gist_wal.Lsn.t -> unit
 (** Close a nested top action by writing a dummy CLR whose [undo_next]
@@ -88,6 +102,9 @@ val commit : ?durability:[ `Mode | `Force ] -> t -> txn -> unit
 val abort : t -> txn -> unit
 
 val savepoint : t -> txn -> string -> unit
+(** Remember the backchain position under [name] ([Lsn.nil] if nothing is
+    logged yet: rolling back to it undoes everything). *)
+
 val rollback_to_savepoint : t -> txn -> string -> unit
 (** Undo this transaction's updates back to the savepoint. Locks acquired
     since are retained (conservative; the paper only constrains signaling
@@ -140,12 +157,14 @@ val snapshot_barrier : t -> int
     instant. *)
 
 val active_txns : t -> (Gist_util.Txn_id.t * Gist_wal.Log_record.status * Gist_wal.Lsn.t) list
-(** Snapshot for checkpointing. *)
+(** Snapshot for checkpointing: every live transaction that has logged
+    something, with its last LSN. *)
 
 val commit_lsn : t -> Gist_wal.Lsn.t
 (** The Commit_LSN of [Moh90b]: a page whose LSN is below this belongs
     entirely to committed transactions, letting garbage collection skip
-    per-entry committed checks. *)
+    per-entry committed checks. The minimum Begin LSN over live
+    transactions that have logged something. *)
 
 val restore_txn :
   t -> Gist_util.Txn_id.t -> status:Gist_wal.Log_record.status -> last_lsn:Gist_wal.Lsn.t -> txn

@@ -13,17 +13,17 @@ let mode_of_string s =
   | _ -> None
 
 let m_group_commit =
-  Metrics.counter ~unit_:"ops"
-    ~help:"durability requests routed through the group-commit writer" "wal.group_commit"
+  Metrics.counter ~unit_:"ops" ~help:"durability requests routed through group commit"
+    "wal.group_commit"
 
 let m_group_flush =
   Metrics.counter ~unit_:"ops"
-    ~help:"flush windows the log-writer domain executed (one device write each)"
+    ~help:"leader flushes (one device write each, by a committer or the Async trailer)"
     "wal.group_flush"
 
 let h_group_size =
   Metrics.histogram ~unit_:"reqs"
-    ~help:"durability requests coalesced into each flush window" "wal.group_size"
+    ~help:"durability requests coalesced into each leader flush" "wal.group_size"
 
 (* Shared with [Log_manager]'s sync path: the registry dedupes by name, so
    both routes land their stall time in one histogram and pre/post latency
@@ -33,79 +33,95 @@ let h_force_wait_ns =
     ~help:"time a durability request stalled: device queueing + the physical flush"
     "wal.force_wait_ns"
 
-(* All mutable state sits behind one mutex: the request window ([reqs]
-   pending requests, [hi] the highest LSN among them) and the lifecycle
-   flags. Committers only ever increment the window and wake the writer —
-   the writer alone talks to the log device, so commit throughput is bound
-   by windows per second, not flushes per committer. [last_group] is
-   touched only by the writer domain (adaptive-window memory). *)
+(* All mutable state sits behind one mutex. [flushing] marks the one
+   leader flush in flight; [reqs] counts the requests registered since the
+   last flush began (the next flush's group); [hi] is the highest LSN an
+   Async request left for the trailer. [halted] is a power cut: no flush
+   starts after it. The committing domains flush for themselves; [writer]
+   is the Async trailer, the only domain this module spawns. *)
 type t = {
   log : Log_manager.t;
-  wait_us : int;
   m : Mutex.t;
-  work : Condition.t;  (* writer parks here while the window is empty *)
-  done_ : Condition.t;  (* waiters park here until their LSN is durable *)
+  done_ : Condition.t;  (* followers park here while a leader flushes *)
+  work : Condition.t;  (* the trailer parks here while nothing is pending *)
+  mutable flushing : bool;
   mutable reqs : int;
   mutable hi : Lsn.t;
+  mutable halted : bool;
   mutable stopping : bool;
   mutable writer : unit Domain.t option;
-  mutable last_group : int;
 }
 
-let create ?(wait_us = 50) log =
+let create log =
   {
     log;
-    wait_us = max 0 wait_us;
     m = Mutex.create ();
-    work = Condition.create ();
     done_ = Condition.create ();
+    work = Condition.create ();
+    flushing = false;
     reqs = 0;
     hi = Lsn.nil;
+    halted = false;
     stopping = false;
     writer = None;
-    last_group = 1;
   }
 
-(* One writer iteration: park until the window is non-empty, grab it,
-   flush once, wake everyone. The adaptive stall fires when the pending
-   window is smaller than the previous one — the signature of a pipeline
-   bubble, where the last window's waiters are still waking up and
-   re-submitting. Stalling at most [wait_us] lets the window refill so
-   one device write keeps covering a full complement of commits (the
-   binlog-style sync-delay heuristic); when idle ([last_group] = 1)
-   requests flush immediately and pay no added latency. *)
-let rec writer_loop t =
+let covered t lsn = Lsn.compare (Log_manager.durable_lsn t.log) lsn >= 0
+
+(* Called with [t.m] held and no flush in flight: become the leader, make
+   everything published (and at least [lsn]) durable with one device
+   write while the mutex is released, then wake the followers. Returns
+   with [t.m] held. Requests that register during the flush wait for it
+   and form the next group. *)
+let lead t lsn =
+  t.flushing <- true;
+  let n = t.reqs in
+  t.reqs <- 0;
+  Mutex.unlock t.m;
+  let target = Lsn.max lsn (Log_manager.last_lsn t.log) in
+  Log_manager.flush_to t.log target;
+  Metrics.incr m_group_flush;
+  Metrics.record h_group_size (Float.of_int n);
+  if Trace.enabled () then Trace.emit (Trace.Group_flush { lsn = target; group = n });
   Mutex.lock t.m;
-  while t.reqs = 0 && not t.stopping do
+  t.flushing <- false;
+  Condition.broadcast t.done_
+
+(* Called with [t.m] held: follow the flush in flight, or lead one. Ends
+   once [lsn] is durable, once [halt] cut the power, or after this
+   domain's own flush — which covers [lsn] unless a crash rewound the log
+   past it, in which case nothing ever will. *)
+let rec await t lsn =
+  if covered t lsn || t.halted then ()
+  else if t.flushing then begin
+    Condition.wait t.done_ t.m;
+    await t lsn
+  end
+  else lead t lsn
+
+(* The Async trailer: take the pending [hi], make it durable, repeat;
+   park while nothing is pending. *)
+let rec trail t =
+  while Lsn.equal t.hi Lsn.nil && not t.stopping do
     Condition.wait t.work t.m
   done;
-  if t.reqs = 0 then (* stopping and fully drained *)
-    Mutex.unlock t.m
-  else begin
-    if t.reqs < t.last_group && t.wait_us > 0 && not t.stopping then begin
-      Mutex.unlock t.m;
-      Unix.sleepf (Float.of_int t.wait_us /. 1e6);
-      Mutex.lock t.m
-    end;
-    let n = t.reqs and target = t.hi in
-    t.reqs <- 0;
-    Mutex.unlock t.m;
-    Log_manager.flush_to t.log target;
-    t.last_group <- n;
-    Metrics.incr m_group_flush;
-    Metrics.record h_group_size (Float.of_int n);
-    if Trace.enabled () then Trace.emit (Trace.Group_flush { lsn = target; group = n });
-    Mutex.lock t.m;
-    Condition.broadcast t.done_;
-    Mutex.unlock t.m;
-    writer_loop t
+  if not (Lsn.equal t.hi Lsn.nil) then begin
+    let target = t.hi in
+    t.hi <- Lsn.nil;
+    await t target;
+    trail t
   end
 
 let start t =
   Mutex.lock t.m;
   if t.writer = None then begin
     t.stopping <- false;
-    t.writer <- Some (Domain.spawn (fun () -> writer_loop t))
+    t.writer <-
+      Some
+        (Domain.spawn (fun () ->
+             Mutex.lock t.m;
+             trail t;
+             Mutex.unlock t.m))
   end;
   Mutex.unlock t.m
 
@@ -115,75 +131,52 @@ let running t =
   Mutex.unlock t.m;
   r
 
-(* [drain = true] is a clean shutdown: the writer (and a final sweep here,
-   for stragglers that enqueued between its last grab and its exit)
-   flushes everything pending before the join returns. [drain = false] is
-   a power cut: the pending window is discarded un-flushed — exactly the
-   log tail a simulated crash loses — though a flush the writer already
-   started runs to completion, like a device write in flight at failure. *)
-let shutdown ~drain t =
-  Mutex.lock t.m;
+(* Stop the trailer (it drains [hi] first unless [halted]) and join it. *)
+let join_writer t =
   let d = t.writer in
   t.writer <- None;
-  if not drain then t.reqs <- 0;
-  if d <> None then begin
-    t.stopping <- true;
-    Condition.broadcast t.work
-  end;
+  t.stopping <- true;
+  Condition.broadcast t.work;
   Mutex.unlock t.m;
-  (match d with None -> () | Some d -> Domain.join d);
+  Option.iter Domain.join d;
+  Mutex.lock t.m
+
+let stop t =
   Mutex.lock t.m;
-  t.stopping <- false;
-  if t.reqs > 0 then
-    if drain then begin
-      let target = t.hi in
-      t.reqs <- 0;
-      Mutex.unlock t.m;
-      Log_manager.flush_to t.log target;
-      Mutex.lock t.m
-    end
-    else t.reqs <- 0;
-  Condition.broadcast t.done_;
+  join_writer t;
   Mutex.unlock t.m
 
-let stop t = shutdown ~drain:true t
-
-let halt t = shutdown ~drain:false t
-
-(* A waiter is released when its LSN is durable, or when the writer is
-   gone with nothing pending (a [halt]: the power died with the request
-   in the window — the waiting commit died with it, so there is nothing
-   durable to wait for). The durable watermark is the only log state
-   consulted: the publish watermark may legitimately trail a freshly
-   reserved LSN while neighboring appends are in flight, so it cannot
-   distinguish "not yet published" from "crash-rewound". *)
-let covered t lsn = Lsn.compare (Log_manager.durable_lsn t.log) lsn >= 0
+(* A power cut. The pending Async window is discarded; the flush in
+   flight, like a device write at the moment of failure, completes before
+   [halt] returns, so the log rewind that follows is stop-the-world. Every
+   follower is released un-covered — its commit died with the power — and
+   no flush starts afterwards. *)
+let halt t =
+  Mutex.lock t.m;
+  t.halted <- true;
+  t.hi <- Lsn.nil;
+  Condition.broadcast t.done_;
+  join_writer t;
+  while t.flushing do
+    Condition.wait t.done_ t.m
+  done;
+  Mutex.unlock t.m
 
 let submit ?(wait = true) t lsn =
   Log_manager.fire_flush_hook t.log;
   Metrics.incr m_group_commit;
-  if Lsn.compare (Log_manager.durable_lsn t.log) lsn >= 0 then ()
-  else begin
+  if not (covered t lsn) then begin
     Mutex.lock t.m;
-    if t.writer = None && not t.stopping then begin
-      (* No writer domain (stopped, or never started): fall back to an
-         inline flush for synchronous waiters. The request hook already
-         fired above, so go through the hookless physical-flush entry.
-         A no-wait request stays volatile until a neighboring flush or
-         checkpoint covers it: that is exactly Async's durability-trails
-         contract. *)
-      Mutex.unlock t.m;
-      if wait then Metrics.time_ns h_force_wait_ns (fun () -> Log_manager.flush_to t.log lsn)
+    if wait then begin
+      t.reqs <- t.reqs + 1;
+      Metrics.time_ns h_force_wait_ns (fun () -> await t lsn)
     end
-    else begin
+    else if t.writer <> None then begin
       t.reqs <- t.reqs + 1;
       if Lsn.compare lsn t.hi > 0 then t.hi <- lsn;
-      Condition.signal t.work;
-      if wait then
-        Metrics.time_ns h_force_wait_ns (fun () ->
-            while not (covered t lsn) && (t.writer <> None || t.reqs > 0 || t.stopping) do
-              Condition.wait t.done_ t.m
-            done);
-      Mutex.unlock t.m
-    end
+      Condition.signal t.work
+    end;
+    (* With no trailer, an Async record stays volatile until a neighboring
+       flush covers it — exactly Async's durability-trails contract. *)
+    Mutex.unlock t.m
   end

@@ -91,17 +91,17 @@ type t = {
          command pays the full device round-trip ([flush_delay_ns]) — a
          barrier issued to the device costs the same whether or not the
          cache still holds dirty bytes. Merging concurrent flushes into
-         one command is the *host's* job; [Group_commit]'s writer domain
-         is where that happens. *)
+         one command is the *host's* job; [Group_commit]'s leader
+         flushes are where that happens. *)
   flush_delay_ns : int Atomic.t; (* simulated device latency per physical flush *)
   mutable bytes_base : int; (* [wal.append_bytes] value at create/reset_stats *)
   mutable append_hook : (unit -> unit) option;
       (* fault injection: runs at append entry, before any state changes *)
   mutable flush_hook : (unit -> unit) option;
       (* fault injection: runs at every durability *request* (force entry,
-         group-commit submit) in the requesting domain, never in the
-         log-writer domain — crash points inside the flush window stay
-         deterministic for the crash fuzzer *)
+         group-commit submit) in the requesting domain, never inside a
+         group-commit leader's flush — crash points inside the flush
+         window stay deterministic for the crash fuzzer *)
   torn_tail : Bytes.t option Atomic.t;
       (* a partially persisted record beyond [durable] left by a ragged
          crash; occupies no LSN slot and must be discarded at restart *)
@@ -251,7 +251,7 @@ let rec advance_durable t target =
    neighbor whose write already covered its LSN has nothing left to
    *write* ([wal.flush_absorbed]) but still owes its own barrier —
    devices don't merge flush commands, hosts do. That merging is exactly
-   what [Group_commit]'s writer domain adds: one command per window
+   what [Group_commit]'s leader flushes add: one command per batch
    instead of one per committer. *)
 let force_to t target =
   wait_published t target;
@@ -290,10 +290,10 @@ let force_all t =
   Metrics.incr m_forces;
   Metrics.time_ns h_force_wait_ns (fun () -> force_to t (Atomic.get t.next))
 
-(* The group-commit writer's entry point: a physical flush with no
-   request hook (the request already fired in the submitting domain) and
-   no [forces] accounting (the writer's device writes are counted in
-   [wal.flush] / [wal.group_flush], not as caller-side force calls). *)
+(* Group commit's entry point: a physical flush with no request hook (the
+   request already fired at submission) and no [forces] accounting (a
+   leader's device writes are counted in [wal.flush] / [wal.group_flush],
+   not as caller-side force calls). *)
 let flush_to t lsn = force_to t (min (Int64.to_int lsn) (Atomic.get t.next))
 
 let last_lsn t = Int64.of_int (Atomic.get t.published)

@@ -50,7 +50,7 @@ val force : t -> Lsn.t -> unit
     a neighbor whose flush already covered its LSN has nothing left to
     write ([wal.flush_absorbed]) but still owes its own barrier; merging
     concurrent flushes into one command is the host's job, which is what
-    {!Group_commit}'s writer domain adds. Returns immediately when [lsn] is
+    {!Group_commit}'s leader flushes add. Returns immediately when [lsn] is
     already durable (counted in the [wal.force_noop] metric, not in
     {!forces}). Time stalled in the slow path lands in the
     [wal.force_wait_ns] histogram; each entry fires the flush-request
@@ -62,8 +62,8 @@ val force_all : t -> unit
 val flush_to : t -> Lsn.t -> unit
 (** The physical flush alone: make records up to [lsn] durable {e without}
     firing the flush-request hook or counting a caller-side force — the
-    entry point for {!Group_commit}'s log-writer domain, whose requests
-    already fired the hook in the submitting domain. One device write
+    entry point for {!Group_commit}'s leader flushes, whose requests
+    already fired the hook at submission. One device write
     covers every LSN up to the clamp, however many committers requested
     them. *)
 
@@ -167,8 +167,8 @@ val set_append_hook : t -> (unit -> unit) option -> unit
 val set_flush_hook : t -> (unit -> unit) option -> unit
 (** Install (or clear) a hook run at every {e durability request} —
     {!force} / {!force_all} entry (before the already-durable fast path)
-    and {!Group_commit.submit} — in the requesting domain, never in the
-    log-writer domain. That placement keeps fault schedules deterministic:
+    and {!Group_commit.submit} — in the requesting domain, never inside a
+    group-commit leader's flush. That placement keeps fault schedules deterministic:
     the hook fires once per request regardless of how many requests each
     physical flush absorbs. *)
 

@@ -310,6 +310,121 @@ let test_restart_twice_noop () =
   Alcotest.(check (list int)) "contents unchanged by second restart" keys1 (keys_of t' db');
   check_tree t'
 
+(* Lazy Begin: a transaction logs nothing until its first update, so when
+   its first logged action is a split, that split's NTA opens at nil (the
+   Begin is appended with the NTA's first record). Rolling the loser back
+   — by abort, or by restart after a crash — must undo its insert, leave
+   the committed split in place, and keep every invariant. *)
+let test_split_nta_first_logged () =
+  List.iter
+    (fun crash ->
+      let db, t = make () in
+      let txn = Txn.begin_txn db.Db.txns in
+      for i = 1 to 8 do
+        Gist.insert t txn ~key:(B.key (i * 10)) ~rid:(rid (i * 10))
+      done;
+      Txn.commit db.Db.txns txn;
+      let splits = ref 0 in
+      Gist.set_hook t (fun ev -> if ev = "split:root-grow" || ev = "split:done" then incr splits);
+      let before = Log.last_lsn db.Db.log in
+      let loser = Txn.begin_txn db.Db.txns in
+      Gist.insert t loser ~key:(B.key 5) ~rid:(rid 5);
+      Alcotest.(check bool) "the insert split the full leaf" true (!splits > 0);
+      let mine = ref [] in
+      Log.iter_from db.Db.log (Int64.succ before) (fun r ->
+          if r.Gist_wal.Log_record.txn = Txn.id loser then
+            mine := r.Gist_wal.Log_record.payload :: !mine);
+      Alcotest.(check bool) "Begin, then the split NTA's first record" true
+        (match List.rev !mine with
+        | Gist_wal.Log_record.Begin :: Gist_wal.Log_record.Get_page _ :: _ -> true
+        | _ -> false);
+      let db, t =
+        if crash then begin
+          Log.force_all db.Db.log;
+          crash_restart db t
+        end
+        else begin
+          Txn.abort db.Db.txns loser;
+          (db, t)
+        end
+      in
+      Alcotest.(check (list int)) "committed keys only" (List.init 8 (fun i -> (i + 1) * 10))
+        (keys_of t db);
+      check_tree t)
+    [ false; true ]
+
+(* A savepoint taken before the first update records the nil position:
+   rolling back to it undoes everything, and the transaction can go on to
+   commit only what it did afterwards. *)
+let test_savepoint_before_first_update () =
+  let db, t = make () in
+  let txn = Txn.begin_txn db.Db.txns in
+  Txn.savepoint db.Db.txns txn "start";
+  for i = 1 to 20 do
+    Gist.insert t txn ~key:(B.key i) ~rid:(rid i)
+  done;
+  Txn.rollback_to_savepoint db.Db.txns txn "start";
+  Alcotest.(check (list int)) "rolled back to empty" [] (keys_of t db);
+  Gist.insert t txn ~key:(B.key 99) ~rid:(rid 99);
+  Txn.commit db.Db.txns txn;
+  let db', t' = crash_restart db t in
+  Alcotest.(check (list int)) "only the post-savepoint insert survives" [ 99 ] (keys_of t' db');
+  check_tree t'
+
+(* The lazy Begin is appended under the transaction-table shard mutex that
+   a checkpoint's capture takes, so a fuzzy checkpoint racing a
+   transaction's first update either misses the transaction entirely (its
+   Begin then follows [Checkpoint_begin]) or captures it with a last LSN
+   at or below all its records. Either way restart finds every loser
+   record. Checkpoints run back to back in a second domain while this one
+   commits and aborts; once the loser's Begin shows up in the log, the
+   checkpointer takes one last checkpoint — restart's anchor — racing the
+   rest of that first (and only) update. Were the loser missing from that
+   capture with its update already logged, no record past the anchor
+   would lead restart to it. *)
+let test_checkpoint_races_first_update () =
+  for round = 1 to 20 do
+    let db, t = make () in
+    let loser_tid = Atomic.make None in
+    let begun tid from =
+      let seen = ref false in
+      Log.iter_from db.Db.log from (fun r -> if r.Gist_wal.Log_record.txn = tid then seen := true);
+      !seen
+    in
+    let ckpt =
+      Domain.spawn (fun () ->
+          let rec loop () =
+            Db.checkpoint db;
+            match Atomic.get loser_tid with
+            | Some (tid, from) when begun tid from -> Db.checkpoint db
+            | _ -> loop ()
+          in
+          loop ())
+    in
+    let committed = ref [] in
+    for i = 1 to 20 do
+      let txn = Txn.begin_txn db.Db.txns in
+      Gist.insert t txn ~key:(B.key i) ~rid:(rid i);
+      if (i + round) mod 4 = 0 then Txn.abort db.Db.txns txn
+      else begin
+        Txn.commit db.Db.txns txn;
+        committed := i :: !committed
+      end
+    done;
+    (* A delete logs one record: no split, no parent update. *)
+    let loser = Txn.begin_txn db.Db.txns in
+    let victim = List.hd !committed in
+    Atomic.set loser_tid (Some (Txn.id loser, Log.last_lsn db.Db.log));
+    ignore (Gist.delete t loser ~key:(B.key victim) ~rid:(rid victim));
+    Domain.join ckpt;
+    Log.force_all db.Db.log;
+    let db', t' = crash_restart db t in
+    Alcotest.(check (list int))
+      (Printf.sprintf "round %d: exactly the committed keys" round)
+      (List.sort compare !committed) (keys_of t' db');
+    check_tree t'
+  done
+
 let suite =
   [
     Alcotest.test_case "committed survive crash (no flush)" `Quick test_committed_survive;
@@ -327,4 +442,9 @@ let suite =
       test_truncation_blocked_by_active_txn;
     Alcotest.test_case "redo idempotent" `Quick test_redo_idempotent;
     Alcotest.test_case "restart twice is a no-op" `Quick test_restart_twice_noop;
+    Alcotest.test_case "split NTA as the first logged action" `Quick test_split_nta_first_logged;
+    Alcotest.test_case "savepoint before the first update" `Quick
+      test_savepoint_before_first_update;
+    Alcotest.test_case "checkpoint racing a first update" `Quick
+      test_checkpoint_races_first_update;
   ]
