@@ -247,14 +247,8 @@ let create db ext_ ?(unique = false) ~empty_bp () =
     Txn_manager.log_nta db.Db.txns txn ~ext:ext_.Ext.name
       (Log_record.Format_node { page = root; level = 0; bp = Ext.encode_to_string ext_ empty_bp })
   in
-  let frame = Buffer_pool.pin_new db.Db.pool root in
-  Latch.acquire (Buffer_pool.latch frame) Latch.X;
   let node = Node.make_leaf ~id:root ~bp:empty_bp in
-  Node.write ext_ node frame;
-  Buffer_pool.mark_dirty db.Db.pool frame ~lsn:fmt_lsn;
-  Node.cache node frame;
-  Latch.release (Buffer_pool.latch frame) Latch.X;
-  Buffer_pool.unpin db.Db.pool frame;
+  Buffer_pool.with_new_page db.Db.pool root (fun frame -> write_node t0 frame node ~lsn:fmt_lsn);
   Txn_manager.end_nta db.Db.txns txn nta;
   (* The tree's existence is not expressible as transaction rollback:
      lose these records in a crash and recovery has no root to rebuild.
@@ -308,15 +302,16 @@ type ('p, 'a) leaf =
   | Buffering of (Page_id.t -> 'p Node.t -> 'a option)
   | Snapshot of (Page_id.t -> 'p Node.t -> 'a option)
 
-(* S-latch a snapshot reader's frame without ever blocking on a writer's
-   latch. A blocking acquire would also deadlock the crash fuzzer's racing
-   readers: its simulated power loss is an exception raised in the
-   faulting domain, which strands any bare-held X latch (a real power loss
-   takes every domain with it), and a reader parked on that latch never
-   wakes. So spin on [try_acquire], and every so often probe the disk — a
-   no-op read whose fault hook re-raises the sticky power-off in {e this}
-   domain, turning the stranded-latch case into the same [Fault.Crash] the
-   reader already absorbs. *)
+(* S-latch a snapshot reader's frame without ever parking on a writer's
+   latch: spin on [try_acquire], and every so often probe the disk — a
+   read whose fault hook re-raises a sticky simulated power-off in
+   {e this} domain. No kernel path strands a latch: every X latch is taken
+   through [Buffer_pool.with_page] or [with_new_page], which release it
+   when an exception unwinds. The probe is a backstop for the crash
+   fuzzer, whose power loss is an exception in the faulting domain only
+   (a real one stops every domain): should a latch holder ever stop
+   without releasing, a racing reader spinning on that latch still ends
+   with the [Fault.Crash] it already absorbs instead of spinning forever. *)
 let spin_s t frame pid =
   let l = Buffer_pool.latch frame in
   let rec go spins =
@@ -679,8 +674,6 @@ let rec split_node t txn ~parent_hint pid =
                    })
             in
             (* Child receives the root's content, NSN and (nil) rightlink. *)
-            let child_frame = Buffer_pool.pin_new t.db.Db.pool child in
-            Latch.acquire (Buffer_pool.latch child_frame) Latch.X;
             let child_node =
               {
                 Node.id = child;
@@ -691,9 +684,6 @@ let rec split_node t txn ~parent_hint pid =
                 entries = root_node.Node.entries;
               }
             in
-            Node.write t.ext child_node child_frame;
-            Buffer_pool.mark_dirty t.db.Db.pool child_frame ~lsn:grow_lsn;
-            Node.cache child_node child_frame;
             (* Root becomes internal with a single child entry. *)
             let new_root =
               Node.make_internal ~id:t.root ~level:(root_node.Node.level + 1)
@@ -701,16 +691,16 @@ let rec split_node t txn ~parent_hint pid =
             in
             Node.add_internal_entry new_root { Node.ie_bp = root_node.Node.bp; ie_child = child };
             new_root.Node.nsn <- root_node.Node.nsn;
-            write_node t root_frame new_root ~lsn:grow_lsn;
-            (* Stack pointers to the root now lead to the child: extend
-               deletion protection and predicate attachments to it. *)
-            Lock_manager.copy_holders t.db.Db.locks ~src:(Lock_manager.Node t.root)
-              ~dst:(Lock_manager.Node child);
-            Pm.replicate t.preds ~src:t.root ~dst:child ~keep:(fun p ->
-                t.ext.Ext.consistent (Pm.formula p) child_node.Node.bp);
-            Txn_manager.end_nta txns txn nta;
-            Latch.release (Buffer_pool.latch child_frame) Latch.X;
-            Buffer_pool.unpin t.db.Db.pool child_frame;
+            Buffer_pool.with_new_page t.db.Db.pool child (fun child_frame ->
+                write_node t child_frame child_node ~lsn:grow_lsn;
+                write_node t root_frame new_root ~lsn:grow_lsn;
+                (* Stack pointers to the root now lead to the child: extend
+                   deletion protection and predicate attachments to it. *)
+                Lock_manager.copy_holders t.db.Db.locks ~src:(Lock_manager.Node t.root)
+                  ~dst:(Lock_manager.Node child);
+                Pm.replicate t.preds ~src:t.root ~dst:child ~keep:(fun p ->
+                    t.ext.Ext.consistent (Pm.formula p) child_node.Node.bp);
+                Txn_manager.end_nta txns txn nta);
             Some child
           end)
     in
@@ -744,37 +734,49 @@ let rec split_node t txn ~parent_hint pid =
                   ignore (Txn_manager.log_nta txns txn ~ext:t.ext.Ext.name (Log_record.Get_page { page = right }));
                   let preds_arr = Array.of_list (List.rev (Node.entry_preds node)) in
                   let assignment = Ext.check_pick_split t.ext preds_arr in
+                  (* Log-then-apply: both halves are built to one side, and
+                     the cached node is not touched until the Split record
+                     is in the log. An exception before then leaves the
+                     child exactly as readers last saw it. *)
                   let moved_enc = ref [] in
                   let right_node =
                     if Node.is_leaf node then Node.make_leaf ~id:right ~bp:node.Node.bp
                     else Node.make_internal ~id:right ~level:node.Node.level ~bp:node.Node.bp
                   in
-                  (match node.Node.entries with
-                  | Node.Leaf d ->
-                    let keep = Dyn.create () in
-                    Dyn.iteri
-                      (fun i e ->
-                        if assignment.(i) then begin
-                          Node.add_leaf_entry right_node e;
-                          moved_enc := Node.encode_leaf_entry t.ext e :: !moved_enc
-                        end
-                        else Dyn.push keep e)
-                      d;
-                    node.Node.entries <- Node.Leaf keep
-                  | Node.Internal d ->
-                    let keep = Dyn.create () in
-                    Dyn.iteri
-                      (fun i e ->
-                        if assignment.(i) then begin
-                          Node.add_internal_entry right_node e;
-                          moved_enc := Node.encode_internal_entry t.ext e :: !moved_enc
-                        end
-                        else Dyn.push keep e)
-                      d;
-                    node.Node.entries <- Node.Internal keep);
+                  let kept =
+                    match node.Node.entries with
+                    | Node.Leaf d ->
+                      let keep = Dyn.create () in
+                      Dyn.iteri
+                        (fun i e ->
+                          if assignment.(i) then begin
+                            Node.add_leaf_entry right_node e;
+                            moved_enc := Node.encode_leaf_entry t.ext e :: !moved_enc
+                          end
+                          else Dyn.push keep e)
+                        d;
+                      Node.Leaf keep
+                    | Node.Internal d ->
+                      let keep = Dyn.create () in
+                      Dyn.iteri
+                        (fun i e ->
+                          if assignment.(i) then begin
+                            Node.add_internal_entry right_node e;
+                            moved_enc := Node.encode_internal_entry t.ext e :: !moved_enc
+                          end
+                          else Dyn.push keep e)
+                        d;
+                      Node.Internal keep
+                  in
                   let moved = List.rev !moved_enc in
-                  let old_nsn = node.Node.nsn in
-                  let old_rightlink = node.Node.rightlink in
+                  (* The new sibling inherits the old NSN and rightlink;
+                     the original gets the incremented counter value and
+                     the sibling as rightlink once Split is logged (§3). *)
+                  right_node.Node.nsn <- node.Node.nsn;
+                  right_node.Node.rightlink <- node.Node.rightlink;
+                  Node.recompute_bp t.ext right_node;
+                  let left = { node with Node.entries = kept } in
+                  Node.recompute_bp t.ext left;
                   (* Under Nsn_from_lsn the new NSN *is* the Split record's
                      LSN (§10.1), encoded as nil and resolved by redo; a
                      dedicated counter must be bumped first and embedded. *)
@@ -783,81 +785,82 @@ let rec split_node t txn ~parent_hint pid =
                     | Db.Nsn_from_lsn -> Lsn.nil
                     | Db.Nsn_from_counter -> Db.split_nsn t.db ~record_lsn:Lsn.nil
                   in
-                  let split_record_lsn =
-                    Txn_manager.log_nta txns txn ~ext:t.ext.Ext.name
-                      (Log_record.Split
-                         {
-                           orig = pid;
-                           right;
-                           moved;
-                           orig_old_nsn = old_nsn;
-                           orig_new_nsn = counter_nsn;
-                           orig_old_rightlink = old_rightlink;
-                           level = node.Node.level;
-                         })
-                  in
-                  let new_nsn =
-                    if Lsn.equal counter_nsn Lsn.nil then split_record_lsn else counter_nsn
-                  in
-                  (* The new sibling inherits the old NSN and rightlink;
-                     the original gets the incremented counter value (§3). *)
-                  right_node.Node.nsn <- old_nsn;
-                  right_node.Node.rightlink <- old_rightlink;
-                  Node.recompute_bp t.ext right_node;
-                  node.Node.nsn <- new_nsn;
-                  node.Node.rightlink <- right;
-                  Node.recompute_bp t.ext node;
-                  let right_frame = Buffer_pool.pin_new t.db.Db.pool right in
-                  Latch.acquire (Buffer_pool.latch right_frame) Latch.X;
-                  Node.write t.ext right_node right_frame;
-                  Buffer_pool.mark_dirty t.db.Db.pool right_frame ~lsn:split_record_lsn;
-                  Node.cache right_node right_frame;
-                  write_node t child_frame node ~lsn:split_record_lsn;
-                  (* §7.2: extend deletion protection to the new sibling. *)
-                  Lock_manager.copy_holders t.db.Db.locks ~src:(Lock_manager.Node pid)
-                    ~dst:(Lock_manager.Node right);
-                  (* §4.3: replicate consistent predicate attachments. *)
-                  Pm.replicate t.preds ~src:pid ~dst:right ~keep:(fun p ->
-                      t.ext.Ext.consistent (Pm.formula p) right_node.Node.bp);
-                  (* Install the parent entry for the new sibling and
-                     tighten the original's parent entry. *)
-                  let right_entry = { Node.ie_bp = right_node.Node.bp; ie_child = right } in
-                  let add_lsn =
-                    Txn_manager.log_nta txns txn ~ext:t.ext.Ext.name
-                      (Log_record.Internal_entry_add
-                         {
-                           page = parent_node.Node.id;
-                           entry = Node.encode_internal_entry t.ext right_entry;
-                         })
-                  in
-                  Node.add_internal_entry parent_node right_entry;
-                  (* Stamp the parent at [add_lsn] before logging the
-                     follow-up update: the DPT rec_lsn must name the FIRST
-                     record that dirtied the page. Marking once at the
-                     later LSN lets a fuzzy checkpoint capture a rec_lsn
-                     one past the entry-add, and redo seeded from that
-                     checkpoint skips the add — the sibling's parent entry
-                     is silently lost if the split hit a freshly-flushed
-                     parent. *)
-                  write_node t parent_frame parent_node ~lsn:add_lsn;
-                  (match Node.find_child parent_node pid with
-                  | Some ie ->
-                    let upd_lsn =
-                      Txn_manager.log_nta txns txn ~ext:t.ext.Ext.name
-                        (Log_record.Internal_entry_update
-                           {
-                             page = parent_node.Node.id;
-                             child = pid;
-                             new_bp = bp_string t node.Node.bp;
-                             old_bp = bp_string t ie.Node.ie_bp;
-                           })
-                    in
-                    ie.Node.ie_bp <- node.Node.bp;
-                    write_node t parent_frame parent_node ~lsn:upd_lsn
-                  | None -> ());
-                  Txn_manager.end_nta txns txn nta;
-                  Latch.release (Buffer_pool.latch right_frame) Latch.X;
-                  Buffer_pool.unpin t.db.Db.pool right_frame;
+                  (* The sibling's frame is pinned and latched before the
+                     Split record, so nothing that can fail sits between
+                     the record and the in-memory install. *)
+                  Buffer_pool.with_new_page t.db.Db.pool right (fun right_frame ->
+                      let split_record_lsn =
+                        Txn_manager.log_nta txns txn ~ext:t.ext.Ext.name
+                          (Log_record.Split
+                             {
+                               orig = pid;
+                               right;
+                               moved;
+                               orig_old_nsn = node.Node.nsn;
+                               orig_new_nsn = counter_nsn;
+                               orig_old_rightlink = node.Node.rightlink;
+                               level = node.Node.level;
+                             })
+                      in
+                      left.Node.nsn <-
+                        (if Lsn.equal counter_nsn Lsn.nil then split_record_lsn else counter_nsn);
+                      left.Node.rightlink <- right;
+                      (* The sibling's image is in place before the child
+                         links to it, and the child is installed before
+                         the sibling's first-dirty full-page image is
+                         logged: each [mark_dirty] stamps its page before
+                         that append, so a failed one still leaves a
+                         linked, dirty split. *)
+                      Node.write t.ext right_node right_frame;
+                      write_node t child_frame left ~lsn:split_record_lsn;
+                      write_node t right_frame right_node ~lsn:split_record_lsn;
+                      (* From here on an exception leaves a legal B-link
+                         state — the child split and linked, its parent
+                         entry missing or stale — which the NSN/rightlink
+                         compensation handles (§3). §7.2: extend deletion
+                         protection to the new sibling. *)
+                      Lock_manager.copy_holders t.db.Db.locks ~src:(Lock_manager.Node pid)
+                        ~dst:(Lock_manager.Node right);
+                      (* §4.3: replicate consistent predicate attachments. *)
+                      Pm.replicate t.preds ~src:pid ~dst:right ~keep:(fun p ->
+                          t.ext.Ext.consistent (Pm.formula p) right_node.Node.bp);
+                      (* Install the parent entry for the new sibling and
+                         tighten the original's parent entry. *)
+                      let right_entry = { Node.ie_bp = right_node.Node.bp; ie_child = right } in
+                      let add_lsn =
+                        Txn_manager.log_nta txns txn ~ext:t.ext.Ext.name
+                          (Log_record.Internal_entry_add
+                             {
+                               page = parent_node.Node.id;
+                               entry = Node.encode_internal_entry t.ext right_entry;
+                             })
+                      in
+                      Node.add_internal_entry parent_node right_entry;
+                      (* Stamp the parent at [add_lsn] before logging the
+                         follow-up update: the DPT rec_lsn must name the
+                         FIRST record that dirtied the page. Marking once
+                         at the later LSN lets a fuzzy checkpoint capture a
+                         rec_lsn one past the entry-add, and redo seeded
+                         from that checkpoint skips the add — the sibling's
+                         parent entry is silently lost if the split hit a
+                         freshly-flushed parent. *)
+                      write_node t parent_frame parent_node ~lsn:add_lsn;
+                      (match Node.find_child parent_node pid with
+                      | Some ie ->
+                        let upd_lsn =
+                          Txn_manager.log_nta txns txn ~ext:t.ext.Ext.name
+                            (Log_record.Internal_entry_update
+                               {
+                                 page = parent_node.Node.id;
+                                 child = pid;
+                                 new_bp = bp_string t left.Node.bp;
+                                 old_bp = bp_string t ie.Node.ie_bp;
+                               })
+                        in
+                        ie.Node.ie_bp <- left.Node.bp;
+                        write_node t parent_frame parent_node ~lsn:upd_lsn
+                      | None -> ());
+                      Txn_manager.end_nta txns txn nta);
                   hook t "split:done";
                   `Split
                 end
@@ -1665,13 +1668,7 @@ let bulk_load db ext_ ?(unique = false) ?(fill = 0.85) ~empty_bp entries =
   (* Write [node]'s image to a fresh page (or the root). *)
   let write_page node =
     let lsn = Txn_manager.log_nta txns txn ~ext:t.ext.Ext.name (Log_record.Get_page { page = node.Node.id }) in
-    let frame = Buffer_pool.pin_new db.Db.pool node.Node.id in
-    Latch.acquire (Buffer_pool.latch frame) Latch.X;
-    Node.write ext_ node frame;
-    Buffer_pool.mark_dirty db.Db.pool frame ~lsn;
-    Node.cache node frame;
-    Latch.release (Buffer_pool.latch frame) Latch.X;
-    Buffer_pool.unpin db.Db.pool frame
+    Buffer_pool.with_new_page db.Db.pool node.Node.id (fun frame -> write_node t frame node ~lsn)
   in
   (* Pack one level: fold items into nodes of ~[fill] occupancy; returns
      the (bp, child) pairs of the level above. *)
@@ -1773,13 +1770,7 @@ let bulk_load db ext_ ?(unique = false) ?(fill = 0.85) ~empty_bp entries =
            bp = Ext.encode_to_string ext_ root_node.Node.bp;
          })
   in
-  let frame = Buffer_pool.pin_new db.Db.pool root in
-  Latch.acquire (Buffer_pool.latch frame) Latch.X;
-  Node.write ext_ root_node frame;
-  Buffer_pool.mark_dirty db.Db.pool frame ~lsn:fmt_lsn;
-  Node.cache root_node frame;
-  Latch.release (Buffer_pool.latch frame) Latch.X;
-  Buffer_pool.unpin db.Db.pool frame;
+  Buffer_pool.with_new_page db.Db.pool root (fun frame -> write_node t frame root_node ~lsn:fmt_lsn);
   (* Minimal logging: make every page durable before the NTA commits. *)
   Buffer_pool.flush_all db.Db.pool;
   Txn_manager.end_nta txns txn nta;

@@ -690,8 +690,9 @@ let mark_dirty t f ~lsn =
 
 let set_fpw t on = t.fpw_on <- on
 
-let with_page t pid mode f =
-  let frame = pin t pid in
+(* Latch a pinned [frame], run [f], then unlatch and unpin — also when [f]
+   raises, so no exception can strand a latch or a pin. *)
+let latched t frame mode f =
   let finish v_or_exn =
     Latch.release frame.frame_latch mode;
     unpin t frame;
@@ -699,6 +700,10 @@ let with_page t pid mode f =
   in
   Latch.acquire frame.frame_latch mode;
   match f frame with v -> finish (Ok v) | exception e -> finish (Error e)
+
+let with_page t pid mode f = latched t (pin t pid) mode f
+
+let with_new_page t pid f = latched t (pin_new t pid) Latch.X f
 
 (* Flush one frame without holding the shard mutex — or any latch — across
    the I/O. The frame is pinned for the duration, so it cannot be recycled

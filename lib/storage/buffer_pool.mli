@@ -117,7 +117,12 @@ val set_fpw : t -> bool -> unit
 
 val with_page :
   t -> Page_id.t -> Latch.mode -> (frame -> 'a) -> 'a
-(** [with_page t pid mode f]: pin, latch, run [f], unlatch, unpin. *)
+(** [with_page t pid mode f]: pin, latch, run [f], unlatch, unpin. The
+    unlatch and unpin also run when [f] raises. *)
+
+val with_new_page : t -> Page_id.t -> (frame -> 'a) -> 'a
+(** [with_new_page t pid f]: {!pin_new} a freshly allocated page, X-latch
+    it, run [f], unlatch, unpin — also when [f] raises. *)
 
 val flush_page : t -> Page_id.t -> unit
 (** Force the page to disk if resident and dirty (forcing the log first).

@@ -20,7 +20,9 @@
    - the mvcc = false knob: begin_ro refuses, the write path is unchanged;
    - a crash-fuzz sweep (FUZZ_POINTS budget, shared with test_fault /
      test_eviction via bin/check.sh) with a racing snapshot-reader domain
-     in every fault mode. *)
+     in every fault mode;
+   - a transient I/O error at each log append of a split leaves no torn
+     node and no stranded latch for snapshot and locked readers. *)
 
 open Gist_core
 module B = Gist_ams.Btree_ext
@@ -30,6 +32,7 @@ module Txn = Gist_txn.Txn_manager
 module Lock_manager = Gist_txn.Lock_manager
 module Metrics = Gist_obs.Metrics
 module Crash_fuzz = Gist_fault.Crash_fuzz
+module Fault = Gist_fault.Fault
 
 let rid i = Rid.make ~page:1000 ~slot:i
 
@@ -321,6 +324,82 @@ let test_crash_fuzz_with_readers () =
   let total = List.fold_left (fun acc s -> acc + s.Crash_fuzz.points) 0 summaries in
   Alcotest.(check bool) "sweep covered the requested budget" true (total >= points)
 
+(* --- a failed log append inside a split -------------------------------- *)
+
+(* Run [f] in a domain of its own; fail if it has not returned within
+   [secs]. [f] reports the step it is on, so a step stuck on a latch the
+   failed split stranded names itself instead of hanging the suite. *)
+let within ~secs label f =
+  let step = Atomic.make "start" and result = Atomic.make None in
+  let d =
+    Domain.spawn (fun () ->
+        Atomic.set result (Some (match f (Atomic.set step) with () -> Ok () | exception e -> Error e)))
+  in
+  let deadline = Unix.gettimeofday () +. secs in
+  while Atomic.get result = None && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.005
+  done;
+  match Atomic.get result with
+  | None -> Alcotest.failf "%s: step %S did not return within %.0f s" label (Atomic.get step) secs
+  | Some r -> (
+    Domain.join d;
+    match r with Ok () -> () | Error e -> raise e)
+
+(* A transient I/O error on the n-th log append after a split's hook. The
+   ninth key overflows the root leaf, so one insert runs a root grow and
+   then a node split. After "split:root-grow", n = 1..5 hits the lazy
+   Begin, Get_page, Root_grow, the NTA's closing CLR and the node split's
+   Get_page; after "split:node", it hits Get_page, Split,
+   Internal_entry_add, Internal_entry_update and the closing CLR. The
+   insert raises; a snapshot scan before the abort still sees every
+   committed key (no torn node, no stranded latch); after the abort a
+   locked search returns exactly the committed keys and the tree passes
+   its invariant check. *)
+let test_split_append_error () =
+  let committed = List.init 8 Fun.id in
+  List.iter
+    (fun hook_prefix ->
+      for n = 1 to 5 do
+        let label = Printf.sprintf "%s, append #%d" hook_prefix n in
+        within ~secs:30. label (fun step ->
+            let db, t = make_tree () in
+            with_retry db (fun txn ->
+                List.iter (fun k -> Gist.insert t txn ~key:(B.key k) ~rid:(rid k)) committed);
+            let armed = ref None in
+            Gist.set_hook t (fun ev ->
+                if !armed = None && String.starts_with ~prefix:hook_prefix ev then
+                  armed :=
+                    Some
+                      (Fault.arm ~disk:db.Db.disk ~log:db.Db.log
+                         [ { Fault.site = Fault.Wal_append; at = n; act = Fault.Io_error_once } ]));
+            step "insert";
+            let txn = Txn.begin_txn db.Db.txns in
+            let raised =
+              match Gist.insert t txn ~key:(B.key 8) ~rid:(rid 8) with
+              | () -> false
+              | exception Fault.Io_error -> true
+            in
+            Gist.set_hook t ignore;
+            Option.iter Fault.disarm !armed;
+            Alcotest.(check bool) (label ^ ": the split ran") true (!armed <> None);
+            Alcotest.(check bool) (label ^ ": the insert raised Io_error") true raised;
+            step "snapshot scan";
+            Alcotest.(check (list int))
+              (label ^ ": snapshot scan sees every committed key")
+              committed
+              (sorted_keys (snap_scan db t (B.range 0 1_000)));
+            step "abort";
+            Txn.abort db.Db.txns txn;
+            step "locked search";
+            Alcotest.(check (list int))
+              (label ^ ": locked search after abort")
+              committed
+              (with_retry db (fun txn -> sorted_keys (Gist.search t txn (B.range 0 1_000))));
+            step "tree check";
+            check_tree t)
+      done)
+    [ "split:root-grow"; "split:node" ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest test_equivalence_qcheck;
@@ -336,4 +415,6 @@ let suite =
     Alcotest.test_case "mvcc = false refuses begin_ro" `Quick test_mvcc_off;
     Alcotest.test_case "crash-fuzz sweep with snapshot readers (FUZZ_POINTS)" `Quick
       test_crash_fuzz_with_readers;
+    Alcotest.test_case "a failed append inside a split tears nothing" `Quick
+      test_split_append_error;
   ]
