@@ -1,7 +1,10 @@
 (* Experiment driver: regenerates every figure/table-shaped result in
    EXPERIMENTS.md (see DESIGN.md §4 for the experiment index).
 
-   Usage:  experiments [E1|E2|...|E18|F5|all] [--duration s] [--domains n,n,...]
+   Usage:  experiments [E1|E2|...|E12|E5b|E6b|F5|all] [--duration s] [--domains n,n,...]
+
+   A broken tree, or an E12 recovery oracle violation, fails the experiment
+   (exit 1); an unknown experiment name exits 2.
 *)
 
 open Gist_core
@@ -38,10 +41,13 @@ let with_retry db work =
   in
   go 0
 
-let check_tree_or_warn t label =
+(* A broken tree voids the experiment's numbers, so it fails the run. *)
+let check_tree t label =
   let report = Tree_check.check t in
-  if not (Tree_check.ok report) then
-    Format.printf "WARNING %s: %a@." label Tree_check.pp report
+  if not (Tree_check.ok report) then begin
+    Format.eprintf "%s FAILED: broken tree: %a@." label Tree_check.pp report;
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* E1: Figures 1 & 2 — lost keys without the link protocol             *)
@@ -95,7 +101,7 @@ let e1 ~duration_s =
     done;
     Atomic.set stop true;
     List.iter Domain.join writers;
-    check_tree_or_warn t "E1";
+    check_tree t "E1";
     (name, !scans, !lossy_scans, !max_lost)
   in
   let nolink = run_variant "no-link (Figure 1)" Gist_baseline.Nolink.search in
@@ -127,7 +133,7 @@ let throughput_cell ~variant ~domains ~duration_s ~io_delay_ns ~pool_capacity =
         ignore (Gist_baseline.Coarse_lock.delete coarse txn ~key:k ~rid))
   in
   let stats = Driver.run_txn_ops ~db ~domains ~duration_s ~seed:(domains * 7) body in
-  check_tree_or_warn t "E2";
+  check_tree t "E2";
   stats.Driver.throughput
 
 let e2 ~duration_s ~domain_list =
@@ -190,7 +196,7 @@ let e3 ~duration_s ~domain_list =
           Gist_baseline.Coarse_lock.insert coarse txn ~key:k ~rid)
     in
     let stats = Driver.run_txn_ops ~db ~domains ~duration_s ~seed:(domains * 13) body in
-    check_tree_or_warn t "E3";
+    check_tree t "E3";
     stats.Driver.throughput
   in
   let rows =
@@ -386,7 +392,7 @@ let e5b ~duration_s ~domain_list =
       done
     in
     let stats = Driver.run_txn_ops ~db ~domains ~duration_s ~seed:(domains * 11) body in
-    check_tree_or_warn t "E5b";
+    check_tree t "E5b";
     (stats.Driver.throughput, stats.Driver.aborts)
   in
   let rows =
@@ -533,7 +539,7 @@ let e6b () =
     let txn = Txn.begin_txn db'.Db.txns in
     let n = List.length (Gist.search t' txn (B.range 0 10_000)) in
     Txn.commit db'.Db.txns txn;
-    check_tree_or_warn t' "E6b";
+    check_tree t' "E6b";
     (log_records, restart_ms, n = batches * per_batch)
   in
   let rows =
@@ -582,7 +588,7 @@ let e7 () =
   let r2 = row "after logical delete (marks in place)" in
   Gist.vacuum t;
   let r3 = row "after vacuum (GC + node deletion)" in
-  check_tree_or_warn t "E7";
+  check_tree t "E7";
   Report.table ~header:[ "phase"; "physical entries"; "live"; "leaves"; "full scan ms" ]
     [ r1; r2; r3 ];
   print_endline
@@ -608,7 +614,7 @@ let e8 ~duration_s ~domain_list =
       Workload.Btree.apply t txn op
     in
     let stats = Driver.run_txn_ops ~db ~domains ~duration_s ~seed:(domains * 3) body in
-    check_tree_or_warn t "E8";
+    check_tree t "E8";
     stats.Driver.throughput
   in
   let variants =
@@ -678,7 +684,7 @@ let e9 () =
   Domain.join vacuumer;
   Gist.vacuum t;
   let leaves1 = Gist.leaf_count t in
-  check_tree_or_warn t "E9";
+  check_tree t "E9";
   Report.table ~header:[ "metric"; "value" ]
     [
       [ "leaves before"; Report.i leaves0 ];
@@ -779,7 +785,7 @@ let e10 () =
       (List.init n_keys (fun i -> i))
   in
   Txn.commit db.Db.txns txn;
-  check_tree_or_warn t "E10";
+  check_tree t "E10";
   Report.table ~header:[ "metric"; "value" ]
     [
       [ "keys raced (2 inserters each)"; Report.i n_keys ];
@@ -833,8 +839,8 @@ let e11 () =
   Array.iter (fun (p, r) -> Gist.insert incr_r txn ~key:p ~rid:r) pts;
   Txn.commit db_ri.Db.txns txn;
   let incr_r_ms = Clock.elapsed_s t0 *. 1000.0 in
-  check_tree_or_warn bulk_b "E11";
-  check_tree_or_warn bulk_r "E11";
+  check_tree bulk_b "E11";
+  check_tree bulk_r "E11";
   Report.table
     ~header:[ "tree"; "method"; "load ms"; "leaves"; "height" ]
     [
@@ -892,7 +898,7 @@ let f5 () =
      for any key covered by several BPs (non-partitioned key space), the ancestor\n\
      cannot tell which subtrees were already visited — hence ARIES/IM-style\n\
      repositioning is impossible and the link technique is required (§11).";
-  check_tree_or_warn t "F5"
+  check_tree t "F5"
 
 (* ------------------------------------------------------------------ *)
 (* E12: crash-point sweep — fault injection proves C4/C5               *)
@@ -964,1158 +970,53 @@ let e12 () =
     "Expected shape: zero violations — every crash point recovers to exactly\n\
      the committed state with deletes never half-visible (C4/C5); torn pages\n\
      are repaired from full-page images, ragged WAL tails are discarded, and\n\
-     a second restart is a no-op (its own checkpoint pair only)."
-
-(* ------------------------------------------------------------------ *)
-(* E13: decoded-node cache on/off — search & insert throughput         *)
-(* ------------------------------------------------------------------ *)
-
-let e13 ~duration_s =
-  Report.section "E13  Decoded-node cache: search/insert throughput, cache on vs off";
-  print_endline
-    "Two identical 20k-key B-trees at fanout 256 (16 KiB pages), differing only\n\
-     in the [node_cache] knob. The pool holds both trees entirely, so the\n\
-     off-tree's extra cost is pure per-visit re-decoding — exactly what the\n\
-     frame-attached cache removes.";
-  let config =
-    { Db.default_config with Db.max_entries = 256; pool_capacity = 8192; page_size = 16384 }
-  in
-  let make node_cache =
-    let db = Db.create ~config:{ config with Db.node_cache } () in
-    let t = Gist.create db B.ext ~empty_bp:B.Empty () in
-    let txn = Txn.begin_txn db.Db.txns in
-    for k = 0 to 19_999 do
-      Gist.insert t txn ~key:(B.key k) ~rid:(rid k)
-    done;
-    Txn.commit db.Db.txns txn;
-    (db, t)
-  in
-  let time_ops f =
-    let t0 = Clock.now_ns () in
-    let n = ref 0 in
-    while Clock.elapsed_s t0 < duration_s do
-      f !n;
-      incr n
-    done;
-    Clock.elapsed_s t0 *. 1e9 /. float_of_int !n
-  in
-  let rng = Xoshiro.create 7 in
-  let search t _ =
-    let lo = Xoshiro.int rng 19_000 in
-    ignore (Gist_baseline.Nolink.search_with_links t (B.range lo (lo + 10)))
-  in
-  let txn_search db t _ =
-    let txn = Txn.begin_txn db.Db.txns in
-    let lo = Xoshiro.int rng 19_000 in
-    ignore (Gist.search t txn (B.range lo (lo + 10)));
-    Txn.commit db.Db.txns txn
-  in
-  let next_key = ref 1_000_000 in
-  let insert db t _ =
-    incr next_key;
-    with_retry db (fun txn -> Gist.insert t txn ~key:(B.key !next_key) ~rid:(rid !next_key))
-  in
-  let db_on, t_on = make true in
-  let db_off, t_off = make false in
-  (* Measure the cache-on hit rate over the read-heavy phase only. *)
-  let snap0 = Metrics.snapshot () in
-  let search_on = time_ops (search t_on) in
-  let txn_search_on = time_ops (txn_search db_on t_on) in
-  let snap1 = Metrics.snapshot () in
-  let search_off = time_ops (search t_off) in
-  let txn_search_off = time_ops (txn_search db_off t_off) in
-  let insert_on = time_ops (insert db_on t_on) in
-  let insert_off = time_ops (insert db_off t_off) in
-  let d name = Metrics.counter_value snap1 name - Metrics.counter_value snap0 name in
-  let hits = d "bp.node_cache.hit" and misses = d "bp.node_cache.miss" in
-  let hit_rate = 100.0 *. float_of_int hits /. float_of_int (max 1 (hits + misses)) in
-  let row name off on =
-    [ name; Report.f0 off; Report.f0 on; Report.f2 (off /. on) ]
-  in
-  Report.table
-    ~header:[ "workload"; "cache off (ns/op)"; "cache on (ns/op)"; "speedup" ]
-    [
-      row "search (raw traversal, width 10)" search_off search_on;
-      row "search (full txn)" txn_search_off txn_search_on;
-      row "insert" insert_off insert_on;
-    ];
-  Report.kv "cache-on read-phase hits" (Report.i hits);
-  Report.kv "cache-on read-phase misses" (Report.i misses);
-  Report.kv "cache-on read-phase hit rate %" (Report.f2 hit_rate);
-  check_tree_or_warn t_on "E13 cache-on tree";
-  check_tree_or_warn t_off "E13 cache-off tree";
-  print_endline
-    "Expected shape: raw search >=3x faster with the cache on (per-visit decode\n\
-     dominates a static-tree descent); the txn-level gap is smaller because\n\
-     txn begin/commit and locking are cache-independent; hit rate well above\n\
-     90% once the tree is warm."
-
-(* ------------------------------------------------------------------ *)
-(* E14: domain scaling after de-serializing the kernel's hot paths     *)
-(* ------------------------------------------------------------------ *)
-
-let e14 ~duration_s ~domain_list =
-  Report.section
-    "E14  Claim C1/C2: throughput vs domains with the sharded kernel, link vs coarse";
-  (* The default --domains sweep stops at 4; C1's evidence row needs the
-     8-domain point, so extend the default (an explicit --domains wins). *)
-  let domain_list = if domain_list = [ 1; 2; 4 ] then [ 1; 2; 4; 8 ] else domain_list in
-  print_endline
-    "I/O-bound configuration (200 us simulated disk access, 160-frame pool\n\
-     over a 20k-key tree): domains scale by overlapping I/O waits, which the\n\
-     link protocol permits and a tree-global latch forbids. Reads are uniform\n\
-     range scans; a write transaction is a delete+reinsert pair at two\n\
-     uniform cold keys, so write-side I/O lands inside the baseline's\n\
-     exclusive-latch window. Each link-protocol cell also reports the deltas\n\
-     of the kernel's hot-path counters (latch.wait, lock.wait,\n\
-     wal.append_retry, pred.shard_*) so any residual serialization is\n\
-     visible. Raw curves land in BENCH_4.json.";
-  let io_delay_ns = 200_000 and pool_capacity = 160 in
-  let cell ~variant ~read_pct ~domains =
-    let config = { small_tree_config with Db.io_delay_ns; pool_capacity } in
-    let db, t = make_btree ~config () in
-    Workload.Btree.preload db t ~n:20_000;
-    let coarse = Gist_baseline.Coarse_lock.wrap t in
-    let body ~worker ~rng ~txn =
-      let ops = Workload.Btree.scattered ~worker ~space:20_000 ~read_pct ~scan_width:10 rng in
-      match variant with
-      | `Link -> List.iter (Workload.Btree.apply t txn) ops
-      | `Coarse ->
-        List.iter
-          (function
-            | Workload.Btree.Search q ->
-              ignore (Gist_baseline.Coarse_lock.search coarse txn q)
-            | Workload.Btree.Insert (k, rid) ->
-              Gist_baseline.Coarse_lock.insert coarse txn ~key:k ~rid
-            | Workload.Btree.Delete (k, rid) ->
-              ignore (Gist_baseline.Coarse_lock.delete coarse txn ~key:k ~rid))
-          ops
-    in
-    let snap0 = Metrics.snapshot () in
-    let stats =
-      Driver.run_txn_ops ~db ~domains ~duration_s ~seed:((domains * 31) + read_pct) body
-    in
-    let snap1 = Metrics.snapshot () in
-    check_tree_or_warn t "E14";
-    let d name = Metrics.counter_value snap1 name - Metrics.counter_value snap0 name in
-    (stats.Driver.throughput, d)
-  in
-  let mixes = [ ("read-heavy", 90); ("mixed", 50); ("insert-heavy", 10) ] in
-  let results =
-    List.map
-      (fun (label, read_pct) ->
-        Printf.printf "\n%s (%d%% reads, %d%% inserts/deletes)\n" label read_pct
-          (100 - read_pct);
-        let rows =
-          List.map
-            (fun domains ->
-              let link_tp, d_link = cell ~variant:`Link ~read_pct ~domains in
-              let coarse_tp, d_coarse = cell ~variant:`Coarse ~read_pct ~domains in
-              (domains, link_tp, coarse_tp, d_link, d_coarse))
-            domain_list
-        in
-        let base_link = match rows with (_, tp, _, _, _) :: _ -> tp | [] -> 1.0 in
-        Report.table
-          ~header:[ "domains"; "link ops/s"; "coarse ops/s"; "link/coarse"; "link vs 1-dom" ]
-          (List.map
-             (fun (domains, link, coarse, _, _) ->
-               [
-                 Report.i domains;
-                 Report.f0 link;
-                 Report.f0 coarse;
-                 Report.f2 (link /. coarse);
-                 Report.f2 (link /. base_link);
-               ])
-             rows);
-        print_endline "link-protocol kernel counter deltas per cell:";
-        Report.table
-          ~header:
-            [
-              "domains"; "latch.wait"; "lock.wait"; "wal.append_retry"; "pred.shard_lock";
-              "pred.shard_cont"; "held_across_io"; "coarse held_across_io";
-            ]
-          (List.map
-             (fun (domains, _, _, d, dc) ->
-               [
-                 Report.i domains;
-                 Report.i (d "latch.wait");
-                 Report.i (d "lock.wait");
-                 Report.i (d "wal.append_retry");
-                 Report.i (d "pred.shard_lock");
-                 Report.i (d "pred.shard_contention");
-                 Report.i (d "latches_held_across_io");
-                 Report.i (dc "latches_held_across_io");
-               ])
-             rows);
-        (label, read_pct, rows))
-      mixes
-  in
-  (* Acceptance summary, mirrored into BENCH_4.json. The held-across-io
-     invariant applies to the link protocol; the coarse baseline violates
-     it by construction (that is the C1 contrast). *)
-  let link_held_io =
-    List.fold_left
-      (fun acc (_, _, rows) ->
-        List.fold_left (fun acc (_, _, _, d, _) -> acc + d "latches_held_across_io") acc rows)
-      0 results
-  in
-  let scaling_at lbl rows =
-    match (rows, List.rev rows) with
-    | (d0, tp0, _, _, _) :: _, (dn, tpn, cn, _, _) :: _ when d0 <> dn ->
-      Printf.printf
-        "%s: link %.0f ops/s at %d domains -> %.0f at %d (%.2fx); link/coarse at %d: %.2fx\n"
-        lbl tp0 d0 tpn dn (tpn /. tp0) dn (tpn /. cn)
-    | _ -> ()
-  in
-  print_newline ();
-  List.iter (fun (lbl, _, rows) -> scaling_at lbl rows) results;
-  Report.kv "link-protocol latches_held_across_io (all cells)" (Report.i link_held_io);
-  (* One machine-parseable line so BENCH_4.json regenerates from captured
-     output (same convention as Report.metrics_json_line). *)
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\"e14\": [";
-  List.iteri
-    (fun i (lbl, read_pct, rows) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "{\"workload\": %S, \"read_pct\": %d, \"cells\": [" lbl read_pct;
-      List.iteri
-        (fun j (domains, link, coarse, d, dc) ->
-          if j > 0 then Buffer.add_char buf ',';
-          Printf.bprintf buf
-            "{\"domains\": %d, \"link_ops_s\": %.0f, \"coarse_ops_s\": %.0f, \
-             \"latch_wait\": %d, \"lock_wait\": %d, \"wal_append_retry\": %d, \
-             \"pred_shard_lock\": %d, \"pred_shard_contention\": %d, \
-             \"link_held_across_io\": %d, \"coarse_held_across_io\": %d}"
-            domains link coarse (d "latch.wait") (d "lock.wait") (d "wal.append_retry")
-            (d "pred.shard_lock")
-            (d "pred.shard_contention")
-            (d "latches_held_across_io")
-            (dc "latches_held_across_io"))
-        rows;
-      Buffer.add_string buf "]}")
-    results;
-  Buffer.add_string buf "]}";
-  print_endline (Buffer.contents buf);
-  print_endline
-    "Expected shape: on the I/O-bound mixes the link protocol scales with\n\
-     domains (>=3x at 8 domains on read-heavy) while coarse stays flat\n\
-     (>=2x link/coarse at 8 domains); wal.append_retry stays tiny relative\n\
-     to ops (the reservation CAS rarely loses); pred.shard_contention ~ 0\n\
-     at 64 shards; link-protocol latches_held_across_io identically 0."
-
-(* ------------------------------------------------------------------ *)
-(* E15: read-mostly scaling with optimistic latch-free reads (OLC)     *)
-(* ------------------------------------------------------------------ *)
-
-let e15 ~duration_s ~domain_list =
-  Report.section "E15  OLC: read-mostly scaling, latch-free vs S-latched search";
-  (* The read-side claim needs the 16-domain point (E14 stops at 8):
-     extend the default sweep; an explicit --domains wins. *)
-  let domain_list = if domain_list = [ 1; 2; 4 ] then [ 1; 2; 4; 8; 16 ] else domain_list in
-  print_endline
-    "Same I/O-bound configuration as E14 (200 us simulated disk access,\n\
-     160-frame pool over a 20k-key tree), read-mostly mixes. Both variants\n\
-     run the full link protocol; the only difference is the search path's\n\
-     internal-node visits — latch-free under the frame version word (olc)\n\
-     versus per-node S latches (s-latch, olc_retries = 0, so every one of\n\
-     its visits counts as an olc.fallback). Each olc cell reports the\n\
-     olc.read_attempt/restart/fallback deltas and both variants report\n\
-     latch.wait (the contention evidence): with OLC on, readers should not\n\
-     appear in latch queues at all on internal nodes. Raw curves land in\n\
-     BENCH_5.json.";
-  let io_delay_ns = 200_000 and pool_capacity = 160 in
-  let cell ~olc ~read_pct ~domains =
-    let olc_retries = if olc then Db.default_config.Db.olc_retries else 0 in
-    let config = { small_tree_config with Db.io_delay_ns; pool_capacity; olc_retries } in
-    let db, t = make_btree ~config () in
-    Workload.Btree.preload db t ~n:20_000;
-    let body ~worker ~rng ~txn =
-      List.iter
-        (Workload.Btree.apply t txn)
-        (Workload.Btree.scattered ~worker ~space:20_000 ~read_pct ~scan_width:10 rng)
-    in
-    let snap0 = Metrics.snapshot () in
-    let stats =
-      Driver.run_txn_ops ~db ~domains ~duration_s ~seed:((domains * 17) + read_pct) body
-    in
-    let snap1 = Metrics.snapshot () in
-    check_tree_or_warn t "E15";
-    let d name = Metrics.counter_value snap1 name - Metrics.counter_value snap0 name in
-    (stats.Driver.throughput, d)
-  in
-  let mixes = [ ("read-only", 100); ("read-mostly", 95) ] in
-  let results =
-    List.map
-      (fun (label, read_pct) ->
-        Printf.printf "\n%s (%d%% reads, %d%% delete+reinsert pairs)\n" label read_pct
-          (100 - read_pct);
-        let rows =
-          List.map
-            (fun domains ->
-              let olc_tp, d_olc = cell ~olc:true ~read_pct ~domains in
-              let sl_tp, d_sl = cell ~olc:false ~read_pct ~domains in
-              (domains, olc_tp, sl_tp, d_olc, d_sl))
-            domain_list
-        in
-        let base = match rows with (_, tp, _, _, _) :: _ -> tp | [] -> 1.0 in
-        Report.table
-          ~header:[ "domains"; "olc ops/s"; "s-latch ops/s"; "olc/s-latch"; "olc vs 1-dom" ]
-          (List.map
-             (fun (domains, olc, sl, _, _) ->
-               [
-                 Report.i domains;
-                 Report.f0 olc;
-                 Report.f0 sl;
-                 Report.f2 (olc /. sl);
-                 Report.f2 (olc /. base);
-               ])
-             rows);
-        print_endline "olc-cell counter deltas (and s-latch latch.wait for contrast):";
-        Report.table
-          ~header:
-            [
-              "domains"; "read_attempt"; "restart"; "fallback"; "fallback %";
-              "latch.wait olc"; "latch.wait s-latch"; "held_across_io";
-            ]
-          (List.map
-             (fun (domains, _, _, d, dsl) ->
-               let attempts = d "olc.read_attempt" in
-               [
-                 Report.i domains;
-                 Report.i attempts;
-                 Report.i (d "olc.restart");
-                 Report.i (d "olc.fallback");
-                 Report.f2
-                   (100.0 *. float_of_int (d "olc.fallback") /. float_of_int (max 1 attempts));
-                 Report.i (d "latch.wait");
-                 Report.i (dsl "latch.wait");
-                 Report.i (d "latches_held_across_io");
-               ])
-             rows);
-        (label, read_pct, rows))
-      mixes
-  in
-  print_newline ();
-  List.iter
-    (fun (lbl, _, rows) ->
-      match (rows, List.rev rows) with
-      | (d0, tp0, _, _, _) :: _, (dn, tpn, sln, _, _) :: _ when d0 <> dn ->
-        Printf.printf "%s: olc %.0f ops/s at %d domains -> %.0f at %d (%.2fx); olc/s-latch at %d: %.2fx\n"
-          lbl tp0 d0 tpn dn (tpn /. tp0) dn (tpn /. sln)
-      | _ -> ())
-    results;
-  (* One machine-parseable line so BENCH_5.json regenerates from captured
-     output (same convention as E14/BENCH_4.json). *)
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\"e15\": [";
-  List.iteri
-    (fun i (lbl, read_pct, rows) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "{\"workload\": %S, \"read_pct\": %d, \"cells\": [" lbl read_pct;
-      List.iteri
-        (fun j (domains, olc, sl, d, dsl) ->
-          if j > 0 then Buffer.add_char buf ',';
-          Printf.bprintf buf
-            "{\"domains\": %d, \"olc_ops_s\": %.0f, \"slatch_ops_s\": %.0f, \
-             \"olc_read_attempt\": %d, \"olc_restart\": %d, \"olc_fallback\": %d, \
-             \"latch_wait_olc\": %d, \"latch_wait_slatch\": %d, \"held_across_io\": %d}"
-            domains olc sl (d "olc.read_attempt") (d "olc.restart") (d "olc.fallback")
-            (d "latch.wait") (dsl "latch.wait")
-            (d "latches_held_across_io"))
-        rows;
-      Buffer.add_string buf "]}")
-    results;
-  Buffer.add_string buf "]}";
-  print_endline (Buffer.contents buf);
-  print_endline
-    "Expected shape: read-mostly throughput scales with domains at least as\n\
-     well as E14's link baseline (the same I/O overlap) and pulls ahead of\n\
-     the s-latch variant as domains grow; olc.fallback well under 1% of\n\
-     read attempts; olc-cell latch.wait ~ 0 on the read side;\n\
-     latches_held_across_io identically 0.";
-  (* CI smoke floor: E15_FLOOR_OPS asserts the largest-domain olc cell of
-     the first mix (conservatively low; flags a collapsed read path). *)
-  match Sys.getenv_opt "E15_FLOOR_OPS" with
-  | None -> ()
-  | Some floor_s -> (
-    match (float_of_string_opt floor_s, results) with
-    | Some floor, (_, _, rows) :: _ when rows <> [] ->
-      let _, olc_tp, _, _, _ = List.nth rows (List.length rows - 1) in
-      if olc_tp >= floor then Printf.printf "E15 floor check: PASS (%.0f >= %.0f ops/s)\n" olc_tp floor
-      else begin
-        Printf.printf "E15 floor check: FAIL (%.0f < %.0f ops/s)\n" olc_tp floor;
-        exit 1
-      end
-    | _ -> ())
-
-(* ------------------------------------------------------------------ *)
-(* E16: group commit — commit throughput across durability modes       *)
-(* ------------------------------------------------------------------ *)
-
-let e16 ~duration_s ~domain_list =
-  Report.section "E16  Group commit: leader/follower flush batching, pipelined durability";
-  (* The commit-side claim needs the 8-domain point: extend the default
-     sweep; an explicit --domains wins. *)
-  let domain_list = if domain_list = [ 1; 2; 4 ] then [ 1; 2; 4; 8 ] else domain_list in
-  print_endline
-    "Commit-bound workload: one-update transactions against a preloaded tree\n\
-     with a 1 ms simulated log-device flush (a cloud-block-store fsync), so each\n\
-     commit's cost is its durability. sync pays one device flush per commit;\n\
-     group runs leader/follower in the committing domains: the first waiter\n\
-     with no flush in flight flushes everything published in one device write\n\
-     and wakes the followers, whose successors batch behind that flush; async\n\
-     returns before the flush and a trailer domain makes it durable behind the\n\
-     commit (an async commit may roll back after a crash, atomically;\n\
-     PROTOCOL.md §8). Per cell: commit throughput, commit\n\
-     latency p50/p99, physical flushes, and the mean group size.\n\
-     Raw curves land in BENCH_6.json.";
-  let wal_flush_delay_ns = 1_000_000 in
-  let mode_names = [ "sync"; "group"; "async" ] in
-  let cell ~mode ~domains =
-    let commit_mode =
-      match Gist_wal.Group_commit.mode_of_string mode with Some m -> m | None -> assert false
-    in
-    let config = { small_tree_config with Db.commit_mode; wal_flush_delay_ns } in
-    let db, t = make_btree ~config () in
-    Workload.Btree.preload db t ~n:2_000;
-    let body ~worker ~rng ~txn =
-      Workload.Btree.apply t txn
-        (Workload.Btree.mixed ~worker ~space:2_000 ~read_pct:0 ~scan_width:1 ~theta:0.0 rng)
-    in
-    (* Histograms cannot be delta'd across snapshots — reset the registry
-       so the cell's p50/p99 reflect this cell alone. *)
-    Metrics.reset ();
-    let snap0 = Metrics.snapshot () in
-    let stats =
-      Driver.run_txn_ops ~db ~domains ~duration_s
-        ~seed:((domains * 13) + String.length mode)
-        body
-    in
-    let snap1 = Metrics.snapshot () in
-    Db.close db;
-    check_tree_or_warn t "E16";
-    let d name = Metrics.counter_value snap1 name - Metrics.counter_value snap0 name in
-    let pct p =
-      match Metrics.find snap1 "wal.commit_latency_ns" with
-      | Some (Metrics.Histogram h) -> Gist_util.Stats.Histogram.percentile h p
-      | _ -> 0.0
-    in
-    (stats.Driver.throughput, pct 0.50, pct 0.99, d)
-  in
-  let rows =
-    List.map
-      (fun domains ->
-        let per_mode = List.map (fun mode -> (mode, cell ~mode ~domains)) mode_names in
-        (domains, per_mode))
-      domain_list
-  in
-  let get mode per_mode = List.assoc mode per_mode in
-  let group_size d =
-    let flushes = d "wal.group_flush" in
-    if flushes = 0 then 0.0 else float_of_int (d "wal.group_commit") /. float_of_int flushes
-  in
-  Report.table
-    ~header:
-      [
-        "domains"; "sync txn/s"; "group txn/s"; "async txn/s"; "group/sync"; "async/sync";
-        "grp size"; "flushes sync"; "flushes group";
-      ]
-    (List.map
-       (fun (domains, per_mode) ->
-         let s_tp, _, _, ds = get "sync" per_mode in
-         let g_tp, _, _, dg = get "group" per_mode in
-         let a_tp, _, _, _ = get "async" per_mode in
-         [
-           Report.i domains;
-           Report.f0 s_tp;
-           Report.f0 g_tp;
-           Report.f0 a_tp;
-           Report.f2 (g_tp /. s_tp);
-           Report.f2 (a_tp /. s_tp);
-           Report.f2 (group_size dg);
-           Report.i (ds "wal.flush");
-           Report.i (dg "wal.flush");
-         ])
-       rows);
-  print_endline "commit latency (wal.commit_latency_ns), microseconds:";
-  Report.table
-    ~header:
-      [
-        "domains"; "sync p50"; "sync p99"; "group p50"; "group p99"; "async p50"; "async p99";
-        "held_across_io";
-      ]
-    (List.map
-       (fun (domains, per_mode) ->
-         let _, sp50, sp99, ds = get "sync" per_mode in
-         let _, gp50, gp99, dg = get "group" per_mode in
-         let _, ap50, ap99, da = get "async" per_mode in
-         let held =
-           ds "latches_held_across_io" + dg "latches_held_across_io"
-           + da "latches_held_across_io"
-         in
-         [
-           Report.i domains;
-           Report.f0 (sp50 /. 1e3);
-           Report.f0 (sp99 /. 1e3);
-           Report.f0 (gp50 /. 1e3);
-           Report.f0 (gp99 /. 1e3);
-           Report.f0 (ap50 /. 1e3);
-           Report.f0 (ap99 /. 1e3);
-           Report.i held;
-         ])
-       rows);
-  (match (rows, List.rev rows) with
-  | (_, pm0) :: _, (dn, pmn) :: _ ->
-    let s1, _, _, _ = get "sync" pm0 in
-    let sn, _, _, _ = get "sync" pmn in
-    let gn, _, _, dg = get "group" pmn in
-    let an, _, _, _ = get "async" pmn in
-    Printf.printf
-      "sync %.0f -> %.0f txn/s across the sweep; at %d domains group commit is %.1fx sync \
-       (async %.1fx) with a mean group of %.1f commits per device write\n"
-      s1 sn dn (gn /. sn) (an /. sn) (group_size dg)
-  | _ -> ());
-  (* One machine-parseable line so BENCH_6.json regenerates from captured
-     output (same convention as E14/E15). *)
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\"e16\": [";
-  List.iteri
-    (fun i (domains, per_mode) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "{\"domains\": %d, \"cells\": [" domains;
-      List.iteri
-        (fun j (mode, (tp, p50, p99, d)) ->
-          if j > 0 then Buffer.add_char buf ',';
-          Printf.bprintf buf
-            "{\"mode\": %S, \"txn_s\": %.0f, \"commit_p50_ns\": %.0f, \"commit_p99_ns\": \
-             %.0f, \"flushes\": %d, \"flush_absorbed\": %d, \"group_flush\": %d, \
-             \"group_commit\": %d, \"group_size_mean\": %.2f, \"force_elided\": %d, \
-             \"held_across_io\": %d}"
-            mode tp p50 p99 (d "wal.flush") (d "wal.flush_absorbed") (d "wal.group_flush")
-            (d "wal.group_commit") (group_size d) (d "wal.force_elided")
-            (d "latches_held_across_io"))
-        per_mode;
-      Buffer.add_string buf "]}")
-    rows;
-  Buffer.add_string buf "]}";
-  print_endline (Buffer.contents buf);
-  print_endline
-    "Expected shape: sync stays pinned near 1/flush_delay commits per second\n\
-     per domain-independent device; group is at or above sync at 1 domain\n\
-     and climbs with domains as batches form behind the flush in flight\n\
-     (mean group > 1 from 2 domains); async decouples commit latency from\n\
-     the device entirely (p50 well under the flush delay);\n\
-     latches_held_across_io identically 0.";
-  (* CI smoke floor: E16_FLOOR_OPS asserts the largest-domain group-mode
-     cell (conservatively low; flags a collapsed commit path). *)
-  match Sys.getenv_opt "E16_FLOOR_OPS" with
-  | None -> ()
-  | Some floor_s -> (
-    match (float_of_string_opt floor_s, List.rev rows) with
-    | Some floor, (_, pm) :: _ ->
-      let g_tp, _, _, _ = get "group" pm in
-      if g_tp >= floor then
-        Printf.printf "E16 floor check: PASS (%.0f >= %.0f txn/s)\n" g_tp floor
-      else begin
-        Printf.printf "E16 floor check: FAIL (%.0f < %.0f txn/s)\n" g_tp floor;
-        exit 1
-      end
-    | _ -> ())
-
-(* ------------------------------------------------------------------ *)
-(* E17: larger-than-memory buffer management                           *)
-(* ------------------------------------------------------------------ *)
-
-let e17 ~duration_s =
-  Report.section
-    "E17  Larger-than-memory: 2Q eviction, background writer + fuzzy checkpoints, prefetch";
-  print_endline
-    "A 20k-key tree whose page footprint exceeds the pool at every ratio\n\
-     below 100%. Each cell runs one workload through one pool variant with\n\
-     a 10 us simulated page I/O, so misses — and above all foreground\n\
-     write-backs — are what throughput measures. Variants: lru (LRU\n\
-     eviction, no writer), 2q (scan-resistant 2Q, no writer), 2q+bg (2Q\n\
-     plus the background writer/checkpointer domain and range-scan\n\
-     prefetch). Workloads: uniform (50% point reads / 50% writes, uniform\n\
-     keys), zipf (same mix, theta=0.99), scan (the zipf mix with a wide\n\
-     cold range scan — a tenth of the key space — every 32 transactions:\n\
-     the sequential flood 2Q is built to shrug off). Raw curves land in\n\
-     BENCH_7.json.";
-  let module Bp = Gist_storage.Buffer_pool in
-  let preload_n = 20_000 in
-  let io_delay_ns = 10_000 in
-  (* Measure the data footprint once with an ample pool; every cell derives
-     its capacity from the ratio against this page count. *)
-  let footprint =
-    let db, t = make_btree () in
-    Workload.Btree.preload db t ~n:preload_n;
-    check_tree_or_warn t "E17";
-    (* The allocation frontier, not [Disk.page_count]: with an ample pool
-       nothing has been written back yet, so the disk undercounts. *)
-    let p = db.Db.alloc_next in
-    Db.close db;
-    p
-  in
-  Printf.printf "data footprint: %d pages of %d bytes\n" footprint
-    small_tree_config.Db.page_size;
-  let variants = [ ("lru", Bp.Lru, false); ("2q", Bp.Two_q, false); ("2q+bg", Bp.Two_q, true) ]
-  and workloads = [ "uniform"; "zipf"; "scan" ]
-  and ratios = [ 1; 5; 25; 100 ] in
-  let cell ~ratio ~wl ~policy ~bg =
-    let pool_capacity = max 16 (footprint * ratio / 100) in
-    let config =
-      {
-        small_tree_config with
-        Db.pool_capacity;
-        io_delay_ns;
-        eviction_policy = policy;
-        bg_writer = bg;
-        checkpoint_interval_us = 5_000;
-        prefetch_depth = (if bg then 4 else 0);
-      }
-    in
-    let db, t = make_btree ~config () in
-    Workload.Btree.preload db t ~n:preload_n;
-    Metrics.reset ();
-    let snap0 = Metrics.snapshot () in
-    let zipf_op ~worker rng =
-      Workload.Btree.mixed ~worker ~space:preload_n ~read_pct:50 ~scan_width:1 ~theta:0.99 rng
-    in
-    let body ~worker ~rng ~txn =
-      match wl with
-      | "uniform" ->
-        Workload.Btree.apply t txn
-          (Workload.Btree.mixed ~worker ~space:preload_n ~read_pct:50 ~scan_width:1 ~theta:0.0
-             rng)
-      | "zipf" -> Workload.Btree.apply t txn (zipf_op ~worker rng)
-      | _ ->
-        if Xoshiro.int rng 32 = 0 then begin
-          (* A wide cold sweep (a tenth of the key space at a uniform
-             position) through the Zipf-hot mix: large enough to flood
-             probation, small enough that the point ops still dominate
-             the cell's time. *)
-          let lo = Xoshiro.int rng preload_n in
-          Workload.Btree.apply t txn (Workload.Btree.Search (B.range lo (lo + (preload_n / 10))))
-        end
-        else Workload.Btree.apply t txn (zipf_op ~worker rng)
-    in
-    let stats =
-      Driver.run_txn_ops ~db ~domains:1 ~duration_s
-        ~seed:((ratio * 31) + String.length wl + if bg then 7 else 0)
-        body
-    in
-    let snap1 = Metrics.snapshot () in
-    Db.close db;
-    check_tree_or_warn t "E17";
-    let d name = Metrics.counter_value snap1 name - Metrics.counter_value snap0 name in
-    let hit_pct =
-      let h = d "bp.hit" and m = d "bp.miss" in
-      if h + m = 0 then 100.0 else 100.0 *. float_of_int h /. float_of_int (h + m)
-    in
-    (stats.Driver.throughput, hit_pct, d)
-  in
-  let sweep =
-    List.map
-      (fun wl ->
-        let rows =
-          List.map
-            (fun ratio ->
-              let cells =
-                List.map
-                  (fun (name, policy, bg) -> (name, cell ~ratio ~wl ~policy ~bg))
-                  variants
-              in
-              (ratio, cells))
-            ratios
-        in
-        (wl, rows))
-      workloads
-  in
-  List.iter
-    (fun (wl, rows) ->
-      Printf.printf "workload %s:\n" wl;
-      Report.table
-        ~header:
-          [
-            "pool %"; "lru ops/s"; "2q ops/s"; "2q+bg ops/s"; "2q+bg hit%"; "fg wb"; "bg wb";
-            "pf issued"; "pf hit"; "scan saved"; "ckpt"; "held io";
-          ]
-        (List.map
-           (fun (ratio, cells) ->
-             let l_tp, _, _ = List.assoc "lru" cells in
-             let q_tp, _, _ = List.assoc "2q" cells in
-             let b_tp, b_hit, bd = List.assoc "2q+bg" cells in
-             let _, _, qd = List.assoc "2q" cells in
-             [
-               Report.i ratio;
-               Report.f0 l_tp;
-               Report.f0 q_tp;
-               Report.f0 b_tp;
-               Report.f2 b_hit;
-               Report.i (bd "bp.fg_writeback");
-               Report.i (bd "bp.bg_writeback");
-               Report.i (bd "bp.prefetch.issued");
-               Report.i (bd "bp.prefetch.hit");
-               Report.i (qd "bp.scan_resist_saved");
-               Report.i (bd "ckpt.fuzzy");
-               Report.i (bd "latches_held_across_io" + qd "latches_held_across_io");
-             ])
-           rows))
-    sweep;
-  (* The two headline invariants, checked across the whole sweep. *)
-  let fg_violations =
-    List.concat_map
-      (fun (wl, rows) ->
-        List.filter_map
-          (fun (ratio, cells) ->
-            let _, _, bd = List.assoc "2q+bg" cells in
-            if bd "bp.fg_writeback" > 0 then Some (wl, ratio, bd "bp.fg_writeback") else None)
-          rows)
-      sweep
-  in
-  (match fg_violations with
-  | [] -> print_endline "fg-writeback invariant: PASS (bp.fg_writeback = 0 in every 2q+bg cell)"
-  | vs ->
-    List.iter
-      (fun (wl, ratio, n) ->
-        Printf.printf "fg-writeback invariant: FAIL (%s @ %d%%: %d foreground write-backs)\n" wl
-          ratio n)
-      vs);
-  let held =
-    List.concat_map
-      (fun (_, rows) ->
-        List.concat_map
-          (fun (_, cells) -> List.map (fun (_, (_, _, d)) -> d "latches_held_across_io") cells)
-          rows)
-      sweep
-    |> List.fold_left ( + ) 0
-  in
-  Printf.printf "latches_held_across_io across all %d cells: %d\n"
-    (List.length workloads * List.length ratios * List.length variants)
-    held;
-  (* Restart time vs checkpoint cadence: same insert workload, then crash
-     and time [Recovery.restart]. Fuzzy checkpoints bound the redo span, so
-     restart cost must fall as the cadence tightens. *)
-  print_endline
-    "restart vs checkpoint cadence (2Q + bg writer, fixed-duration insert workload):";
-  let restart_cell interval_us =
-    let config =
-      {
-        small_tree_config with
-        (* A pool small enough to keep write-back pressure on: the redo
-           span is bounded by the oldest dirty page's rec_lsn, so a pool
-           that never evicts would pin it to the start of the log no
-           matter how often the checkpointer fires. *)
-        Db.pool_capacity = 128;
-        io_delay_ns = 2_000;
-        eviction_policy = Bp.Two_q;
-        bg_writer = true;
-        checkpoint_interval_us = (if interval_us = 0 then 1_000_000_000 else interval_us);
-      }
-    in
-    let db = Db.create ~config () in
-    let t = Gist.create db B.ext ~empty_bp:B.Empty () in
-    Metrics.reset ();
-    let ckpt0 = Metrics.counter_value (Metrics.snapshot ()) "ckpt.fuzzy" in
-    let seq = ref 0 in
-    let t0 = Clock.now_ns () in
-    while Clock.elapsed_s t0 < 0.4 do
-      let txn = Txn.begin_txn db.Db.txns in
-      for _ = 1 to 100 do
-        incr seq;
-        Gist.insert t txn ~key:(B.key !seq) ~rid:(rid !seq)
-      done;
-      Txn.commit db.Db.txns txn
-    done;
-    let ckpts = Metrics.counter_value (Metrics.snapshot ()) "ckpt.fuzzy" - ckpt0 in
-    let root = Gist.root t in
-    let db' = Db.crash db in
-    Metrics.reset ();
-    let r0 = Clock.now_ns () in
-    Recovery.restart db' B.ext;
-    let restart_ms = Clock.elapsed_s r0 *. 1e3 in
-    let redo_span =
-      match Metrics.find (Metrics.snapshot ()) "recovery.redo_span" with
-      | Some (Metrics.Summary s) -> Gist_util.Stats.Summary.max s
-      | _ -> 0.0
-    in
-    let t' = Gist.open_existing db' B.ext ~root () in
-    let txn = Txn.begin_txn db'.Db.txns in
-    let survived = List.length (Gist.search t' txn (B.range 0 (2 * !seq))) in
-    Txn.commit db'.Db.txns txn;
-    if survived <> !seq then
-      Printf.printf "WARNING E17: %d of %d committed keys survived the crash\n" survived !seq;
-    check_tree_or_warn t' "E17";
-    Db.close db';
-    (!seq, ckpts, restart_ms, redo_span)
-  in
-  let cadences = [ 0; 100_000; 10_000; 1_000 ] in
-  let restart_rows = List.map (fun us -> (us, restart_cell us)) cadences in
-  Report.table
-    ~header:[ "ckpt interval us"; "keys"; "fuzzy ckpts"; "restart ms"; "redo span (records)" ]
-    (List.map
-       (fun (us, (keys, ckpts, ms, span)) ->
-         [
-           (if us = 0 then "off" else string_of_int us);
-           Report.i keys;
-           Report.i ckpts;
-           Report.f2 ms;
-           Report.f0 span;
-         ])
-       restart_rows);
-  (* One machine-parseable line so BENCH_7.json regenerates from captured
-     output (same convention as E14/E15/E16). *)
-  let buf = Buffer.create 1024 in
-  Printf.bprintf buf "{\"e17\": {\"footprint_pages\": %d, \"sweep\": [" footprint;
-  List.iteri
-    (fun i (wl, rows) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "{\"workload\": %S, \"ratios\": [" wl;
-      List.iteri
-        (fun j (ratio, cells) ->
-          if j > 0 then Buffer.add_char buf ',';
-          Printf.bprintf buf "{\"pool_pct\": %d, \"cells\": [" ratio;
-          List.iteri
-            (fun k (name, (tp, hit, d)) ->
-              if k > 0 then Buffer.add_char buf ',';
-              Printf.bprintf buf
-                "{\"variant\": %S, \"ops_s\": %.0f, \"hit_pct\": %.1f, \"fg_writeback\": %d, \
-                 \"bg_writeback\": %d, \"prefetch_issued\": %d, \"prefetch_hit\": %d, \
-                 \"scan_resist_saved\": %d, \"ckpt_fuzzy\": %d, \"held_across_io\": %d}"
-                name tp hit (d "bp.fg_writeback") (d "bp.bg_writeback") (d "bp.prefetch.issued")
-                (d "bp.prefetch.hit") (d "bp.scan_resist_saved") (d "ckpt.fuzzy")
-                (d "latches_held_across_io"))
-            cells;
-          Buffer.add_string buf "]}")
-        rows;
-      Buffer.add_string buf "]}")
-    sweep;
-  Buffer.add_string buf "], \"restart\": [";
-  List.iteri
-    (fun i (us, (keys, ckpts, ms, span)) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf
-        "{\"interval_us\": %d, \"keys\": %d, \"fuzzy_ckpts\": %d, \"restart_ms\": %.1f, \
-         \"redo_span\": %.0f}"
-        us keys ckpts ms span)
-    restart_rows;
-  Buffer.add_string buf "]}}";
-  print_endline (Buffer.contents buf);
-  print_endline
-    "Expected shape: bp.fg_writeback is identically 0 in every 2q+bg cell —\n\
-     all write-back I/O leaves through the writer domain; 2Q matches or beats\n\
-     LRU under the scan workload (bp.scan_resist_saved counts the protected\n\
-     frames it refused to evict); prefetch turns scan misses into hits where\n\
-     the pool is under pressure; restart time and redo span fall monotonically\n\
-     as the fuzzy-checkpoint cadence tightens; latches_held_across_io is 0\n\
-     everywhere. On a single-CPU host the writer domain timeshares with the\n\
-     foreground, so 2q+bg ops/s can trail the no-writer variants in CPU-bound\n\
-     cells — what it buys is the clean foreground path, not raw throughput.";
-  (* CI smoke floor: E17_FLOOR_OPS asserts the most I/O-constrained cell —
-     uniform workload, 1% pool, 2q+bg (conservatively low; flags a
-     collapsed eviction or writer path). *)
-  match Sys.getenv_opt "E17_FLOOR_OPS" with
-  | None -> ()
-  | Some floor_s -> (
-    match (float_of_string_opt floor_s, sweep) with
-    | Some floor, (_, (_, cells) :: _) :: _ ->
-      let tp, _, _ = List.assoc "2q+bg" cells in
-      if tp >= floor then Printf.printf "E17 floor check: PASS (%.0f >= %.0f ops/s)\n" tp floor
-      else begin
-        Printf.printf "E17 floor check: FAIL (%.0f < %.0f ops/s)\n" tp floor;
-        exit 1
-      end
-    | _ -> ())
-
-(* ------------------------------------------------------------------ *)
-(* E18: MVCC snapshot reads — scan-vs-writer interference              *)
-(* ------------------------------------------------------------------ *)
-
-let e18 ~duration_s ~domain_list =
-  Report.section "E18  MVCC snapshot reads: lock-free scans vs locked scans under writers";
-  (* The interference claim wants the 8-domain writer point; extend the
-     default sweep, an explicit --domains wins. *)
-  let domain_list = if domain_list = [ 1; 2; 4 ] then [ 1; 2; 4; 8 ] else domain_list in
-  print_endline
-    "In-memory configuration (4096-frame pool over a 20k-key tree).\n\
-     Phase A, reader isolation: 4 reader domains scan a quiesced tree\n\
-     (10% of keys carry committed delete markers, so visibility filtering\n\
-     does real work) — locked scans (Read_committed Gist.search) versus\n\
-     snapshot scans (Db.begin_ro + Gist.snapshot_search). The snapshot row\n\
-     must show zero lock.* and zero pred.* deltas: page latches are its\n\
-     only synchronization.\n\
-     Phase B, writer interference: for each writer count, committed write\n\
-     ops/s with 4 null readers (the same snapshot-scan loop against a\n\
-     private tree — the CPU-fair no-interference baseline), with 4 locked\n\
-     readers, and with 4 snapshot readers racing on the writers' tree.\n\
-     Snapshot readers must not move writer throughput relative to the\n\
-     null baseline, and their scan p99 must stay flat as writers grow.\n\
-     Raw curves land in BENCH_8.json.";
-  let module H = Gist_util.Stats.Histogram in
-  let space = 20_000 in
-  let setup () =
-    let db, t = make_btree () in
-    Workload.Btree.preload db t ~n:space;
-    with_retry db (fun txn ->
-        for i = 0 to (space / 10) - 1 do
-          let k = 10 * i in
-          ignore (Gist.delete t txn ~key:(B.key k) ~rid:(Workload.Btree.rid_of_key ~worker:0 k))
-        done);
-    (db, t)
-  in
-  let one_scan db t rng kind =
-    let lo = Xoshiro.int rng (space - 200) in
-    let q = B.range lo (lo + 200) in
-    match kind with
-    | `Snapshot ->
-      let ro = Db.begin_ro db in
-      let n = List.length (Gist.snapshot_search t ro q) in
-      Db.end_ro db ro;
-      n
-    | `Locked ->
-      with_retry db (fun txn ->
-          List.length (Gist.search ~isolation:`Read_committed t txn q))
-  in
-  (* --- phase A: reader isolation on a quiesced tree ------------------ *)
-  let isolation_cell kind =
-    let db, t = setup () in
-    let snap0 = Metrics.snapshot () in
-    let stats =
-      Driver.run ~domains:4 ~duration_s
-        ~seed:(match kind with `Snapshot -> 18_001 | `Locked -> 18_002)
-        (fun ~worker:_ ~rng -> ignore (one_scan db t rng kind : int))
-    in
-    let snap1 = Metrics.snapshot () in
-    check_tree_or_warn t "E18";
-    let d name = Metrics.counter_value snap1 name - Metrics.counter_value snap0 name in
-    (stats, d)
-  in
-  let locked_stats, d_locked = isolation_cell `Locked in
-  let snap_stats, d_snap = isolation_cell `Snapshot in
-  let counters =
-    [
-      "lock.acquire"; "lock.wait"; "pred.register"; "pred.attach";
-      "mvcc.snapshot_scan"; "mvcc.version_skipped"; "latches_held_across_io";
-    ]
-  in
-  print_endline "\nPhase A: 4 reader domains, quiesced tree";
-  Report.table
-    ~header:([ "reader"; "scans/s"; "scan p99 ms" ] @ counters)
-    (List.map
-       (fun (label, stats, d) ->
-         [
-           label;
-           Report.f0 stats.Driver.throughput;
-           Report.f2 (1e3 *. H.percentile stats.Driver.latency 0.99);
-         ]
-         @ List.map (fun c -> Report.i (d c)) counters)
-       [ ("locked", locked_stats, d_locked); ("snapshot", snap_stats, d_snap) ]);
-  let iso_zero =
-    List.for_all
-      (fun c -> d_snap c = 0)
-      [ "lock.acquire"; "lock.wait"; "pred.register"; "pred.attach" ]
-  in
-  Printf.printf "snapshot cells lock.*/pred.* all zero: %s\n" (if iso_zero then "yes" else "NO");
-  (* --- phase B: writers + racing readers, against a CPU-fair control - *)
-  (* On a machine with fewer cores than domains, "writers alone" is not a
-     fair baseline: any racing reader costs the writers wall-clock CPU
-     share regardless of synchronization. The control that isolates
-     {e interference} from scheduling is the null reader — the identical
-     snapshot-scan loop against a {e private} tree in a private
-     environment, so it burns the same CPU but shares nothing with the
-     writers. Snapshot readers on the writers' own tree must then match
-     the null baseline; locked readers show the contrast. *)
-  let interference_cell ~readers ~kind ~writers =
-    let db, t = setup () in
-    let reader_db, reader_t, reader_kind =
-      match kind with
-      | `Null ->
-        let db2, t2 = setup () in
-        (db2, t2, `Snapshot)
-      | (`Locked | `Snapshot) as k -> (db, t, k)
-    in
-    let stop = Atomic.make false in
-    let snap0 = Metrics.snapshot () in
-    let reader_doms =
-      List.init readers (fun r ->
-          Domain.spawn (fun () ->
-              let rng = Xoshiro.create (18_100 + (writers * 13) + r) in
-              let h = H.create () in
-              let scans = ref 0 in
-              while not (Atomic.get stop) do
-                let t0 = Clock.now_ns () in
-                ignore (one_scan reader_db reader_t rng reader_kind : int);
-                H.add h (float_of_int (Clock.now_ns () - t0) /. 1e9);
-                incr scans
-              done;
-              (h, !scans)))
-    in
-    let stats =
-      Driver.run_txn_ops ~db ~domains:writers ~duration_s ~seed:(writers * 31)
-        (fun ~worker ~rng ~txn ->
-          List.iter
-            (Workload.Btree.apply t txn)
-            (Workload.Btree.scattered ~worker ~space ~read_pct:0 ~scan_width:10 rng))
-    in
-    Atomic.set stop true;
-    let reader_results = List.map Domain.join reader_doms in
-    let snap1 = Metrics.snapshot () in
-    check_tree_or_warn t "E18";
-    let scan_h = List.fold_left (fun acc (h, _) -> H.merge acc h) (H.create ()) reader_results in
-    let scans = List.fold_left (fun acc (_, n) -> acc + n) 0 reader_results in
-    let d name = Metrics.counter_value snap1 name - Metrics.counter_value snap0 name in
-    (stats.Driver.throughput, float_of_int scans /. stats.Driver.elapsed_s, scan_h, d)
-  in
-  let sweep =
-    List.map
-      (fun writers ->
-        let alone_tp, _, _, _ = interference_cell ~readers:0 ~kind:`Null ~writers in
-        let null_tp, _, _, d_null = interference_cell ~readers:4 ~kind:`Null ~writers in
-        let lk_tp, lk_scans, lk_h, d_lk = interference_cell ~readers:4 ~kind:`Locked ~writers in
-        let sn_tp, sn_scans, sn_h, d_sn =
-          interference_cell ~readers:4 ~kind:`Snapshot ~writers
-        in
-        (writers, alone_tp, null_tp, lk_tp, sn_tp, lk_scans, sn_scans, lk_h, sn_h,
-         (d_null, d_lk, d_sn)))
-      domain_list
-  in
-  print_endline
-    "\nPhase B: writer ops/s with 4 racing readers (null = same scan loop\n\
-     on a private tree: the CPU-fair no-interference baseline)";
-  Report.table
-    ~header:
-      [
-        "writers"; "alone ops/s"; "+null ops/s"; "+locked ops/s"; "+snapshot ops/s";
-        "snap/null"; "locked scans/s"; "snap scans/s"; "locked p99 ms"; "snap p99 ms";
-        "held_across_io";
-      ]
-    (List.map
-       (fun (w, alone, null, lk, sn, lks, sns, lkh, snh, (d_null, d_lk, d_sn)) ->
-         [
-           Report.i w;
-           Report.f0 alone;
-           Report.f0 null;
-           Report.f0 lk;
-           Report.f0 sn;
-           Report.f2 (sn /. null);
-           Report.f0 lks;
-           Report.f0 sns;
-           Report.f2 (1e3 *. H.percentile lkh 0.99);
-           Report.f2 (1e3 *. H.percentile snh 0.99);
-           Report.i
-             (d_null "latches_held_across_io" + d_lk "latches_held_across_io"
-             + d_sn "latches_held_across_io");
-         ])
-       sweep);
-  (* One machine-parseable line so BENCH_8.json regenerates from captured
-     output (same convention as E14..E17). *)
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"e18\": {\"isolation\": [";
-  List.iteri
-    (fun i (label, stats, d) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf
-        "{\"reader\": %S, \"scans_s\": %.0f, \"scan_p99_ms\": %.3f, \"lock_acquire\": %d, \
-         \"lock_wait\": %d, \"pred_register\": %d, \"pred_attach\": %d, \
-         \"mvcc_snapshot_scan\": %d, \"mvcc_version_skipped\": %d, \"held_across_io\": %d}"
-        label stats.Driver.throughput
-        (1e3 *. H.percentile stats.Driver.latency 0.99)
-        (d "lock.acquire") (d "lock.wait") (d "pred.register") (d "pred.attach")
-        (d "mvcc.snapshot_scan") (d "mvcc.version_skipped")
-        (d "latches_held_across_io"))
-    [ ("locked", locked_stats, d_locked); ("snapshot", snap_stats, d_snap) ];
-  Buffer.add_string buf "], \"interference\": [";
-  List.iteri
-    (fun i (w, alone, null, lk, sn, lks, sns, lkh, snh, (d_null, d_lk, d_sn)) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf
-        "{\"writers\": %d, \"alone_ops_s\": %.0f, \"null_ops_s\": %.0f, \
-         \"locked_ops_s\": %.0f, \"snapshot_ops_s\": %.0f, \"snap_over_null\": %.3f, \
-         \"locked_scans_s\": %.0f, \"snapshot_scans_s\": %.0f, \
-         \"locked_scan_p99_ms\": %.3f, \"snapshot_scan_p99_ms\": %.3f, \"held_across_io\": %d}"
-        w alone null lk sn (sn /. null) lks sns
-        (1e3 *. H.percentile lkh 0.99)
-        (1e3 *. H.percentile snh 0.99)
-        (d_null "latches_held_across_io" + d_lk "latches_held_across_io"
-        + d_sn "latches_held_across_io"))
-    sweep;
-  Buffer.add_string buf "]}}";
-  print_endline (Buffer.contents buf);
-  print_endline
-    "Expected shape: the snapshot isolation row is all zeros on lock.* and\n\
-     pred.*; writer ops/s with 4 snapshot readers matches the null-reader\n\
-     baseline within noise — snap/null ~ 1.0 (the locked-reader column\n\
-     shows the contrast); snapshot scan p99 stays flat as writers grow;\n\
-     latches_held_across_io identically 0.";
-  (* CI smoke floor: E18_FLOOR_OPS asserts the snapshot cell of phase A
-     (conservatively low; flags a collapsed snapshot-read path). *)
-  match Sys.getenv_opt "E18_FLOOR_OPS" with
-  | None -> ()
-  | Some floor_s -> (
-    match float_of_string_opt floor_s with
-    | Some floor ->
-      let tp = snap_stats.Driver.throughput in
-      if tp >= floor then Printf.printf "E18 floor check: PASS (%.0f >= %.0f scans/s)\n" tp floor
-      else begin
-        Printf.printf "E18 floor check: FAIL (%.0f < %.0f scans/s)\n" tp floor;
-        exit 1
-      end
-    | None -> ())
+     a second restart is a no-op (its own checkpoint pair only).";
+  let violations = List.fold_left (fun n s -> n + List.length s.Fuzz.violations) 0 summaries in
+  if violations > 0 then begin
+    Printf.eprintf "E12 FAILED: %d recovery oracle violations\n" violations;
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* CLI                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let run_experiment ~duration_s ~domain_list = function
-  | "E1" | "e1" -> e1 ~duration_s
-  | "E2" | "e2" -> e2 ~duration_s ~domain_list
-  | "E3" | "e3" -> e3 ~duration_s ~domain_list
-  | "E4" | "e4" -> e4 ()
-  | "E5" | "e5" -> e5 ()
-  | "E5b" | "e5b" -> e5b ~duration_s ~domain_list
-  | "E6" | "e6" -> e6 ()
-  | "E6b" | "e6b" -> e6b ()
-  | "E7" | "e7" -> e7 ()
-  | "E8" | "e8" -> e8 ~duration_s ~domain_list
-  | "E9" | "e9" -> e9 ()
-  | "E10" | "e10" -> e10 ()
-  | "E11" | "e11" -> e11 ()
-  | "E12" | "e12" -> e12 ()
-  | "E13" | "e13" -> e13 ~duration_s
-  | "E14" | "e14" -> e14 ~duration_s ~domain_list
-  | "E15" | "e15" -> e15 ~duration_s ~domain_list
-  | "E16" | "e16" -> e16 ~duration_s ~domain_list
-  | "E17" | "e17" -> e17 ~duration_s
-  | "E18" | "e18" -> e18 ~duration_s ~domain_list
-  | "F5" | "f5" -> f5 ()
-  | "all" ->
-    e1 ~duration_s;
-    e2 ~duration_s ~domain_list;
-    e3 ~duration_s ~domain_list;
-    e4 ();
-    e5 ();
-    e5b ~duration_s ~domain_list;
-    e6 ();
-    e6b ();
-    e7 ();
-    e8 ~duration_s ~domain_list;
-    e9 ();
-    e10 ();
-    e11 ();
-    e12 ();
-    e13 ~duration_s;
-    e14 ~duration_s ~domain_list;
-    e15 ~duration_s ~domain_list;
-    e16 ~duration_s ~domain_list;
-    e17 ~duration_s;
-    e18 ~duration_s ~domain_list;
-    f5 ()
-  | other -> Printf.eprintf "unknown experiment %S (try E1..E18, F5, all)\n" other
+(* Every kept experiment, in the order [all] runs them. *)
+let experiments ~duration_s ~domain_list =
+  [
+    ("E1", fun () -> e1 ~duration_s);
+    ("E2", fun () -> e2 ~duration_s ~domain_list);
+    ("E3", fun () -> e3 ~duration_s ~domain_list);
+    ("E4", e4);
+    ("E5", e5);
+    ("E5b", fun () -> e5b ~duration_s ~domain_list);
+    ("E6", e6);
+    ("E6b", e6b);
+    ("E7", e7);
+    ("E8", fun () -> e8 ~duration_s ~domain_list);
+    ("E9", e9);
+    ("E10", e10);
+    ("E11", e11);
+    ("E12", e12);
+    ("F5", f5);
+  ]
+
+let run_experiment ~duration_s ~domain_list name =
+  let all = experiments ~duration_s ~domain_list in
+  if name = "all" then List.iter (fun (_, run) -> run ()) all
+  else
+    match
+      List.find_opt (fun (n, _) -> String.lowercase_ascii n = String.lowercase_ascii name) all
+    with
+    | Some (_, run) -> run ()
+    | None ->
+      Printf.eprintf "unknown experiment %S (try E1..E12, E5b, E6b, F5, all)\n" name;
+      exit 2
 
 open Cmdliner
 
 let experiment =
-  Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc:"E1..E18, F5 or all")
+  Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc:"E1..E12, E5b, E6b, F5 or all")
 
 let duration =
   Arg.(

@@ -23,11 +23,9 @@ type config = {
   memo_source : memo_source;
   gc_on_write : bool;
   full_page_writes : bool;
-  node_cache : bool;
   olc_retries : int;
   commit_mode : Group_commit.mode;
   wal_flush_delay_ns : int;
-  eviction_policy : Buffer_pool.policy;
   bg_writer : bool;
   checkpoint_interval_us : int;
   prefetch_depth : int;
@@ -44,11 +42,9 @@ let default_config =
     memo_source = Memo_parent_lsn;
     gc_on_write = true;
     full_page_writes = false;
-    node_cache = true;
     olc_retries = 8;
     commit_mode = Group_commit.Sync;
     wal_flush_delay_ns = 0;
-    eviction_policy = Buffer_pool.Two_q;
     bg_writer = false;
     checkpoint_interval_us = 0;
     prefetch_depth = 2;
@@ -259,8 +255,7 @@ let attach ~recovering ~config ~disk ~log =
             (Log_record.Page_image { page = pid; image = Bytes.to_string image }))
   in
   let pool =
-    Buffer_pool.create ?log_page_image ~node_cache:config.node_cache
-      ~policy:config.eviction_policy ~capacity:config.pool_capacity ~disk
+    Buffer_pool.create ?log_page_image ~capacity:config.pool_capacity ~disk
       ~force_log:(fun lsn -> Log_manager.force log lsn)
       ()
   in

@@ -41,11 +41,6 @@ type config = {
           the ability to repair pages destroyed by torn disk writes
           (detected by the disk's page checksums) — required for the
           torn-write fault-injection modes of [Gist_fault]. *)
-  node_cache : bool;
-      (** Keep the decoded [Node.t] attached to its buffer-pool frame,
-          stamped with the page LSN it reflects, so repeat visits skip the
-          page-image decode ([Node.get]). On by default; turn off to
-          measure the decode cost it saves (experiment E13). *)
   olc_retries : int;
       (** Optimistic lock coupling on the read path: a search, snapshot
           scan or cursor visits each node latch-free under the frame
@@ -54,7 +49,7 @@ type config = {
           conflict, at most this many times before falling back to the S
           latch (counted in [olc.fallback]). [0] always takes the S latch:
           every visit falls back. Locking leaf visits and all write-path
-          traversals always latch. See PROTOCOL.md §7 and experiment E15. *)
+          traversals always latch. See PROTOCOL.md §7. *)
   commit_mode : Gist_wal.Group_commit.mode;
       (** How commits obtain durability: [Sync] (default) forces the log
           inline; [Group] waits for a leader/follower batched flush run by
@@ -62,17 +57,11 @@ type config = {
           release immediately and a trailer domain makes the commit
           durable behind it, so an async-committed transaction may roll
           back (atomically) after a crash. Read-only transactions log
-          nothing and wait for nothing in every mode. PROTOCOL.md §8;
-          experiment E16. *)
+          nothing and wait for nothing in every mode. PROTOCOL.md §8. *)
   wal_flush_delay_ns : int;
       (** Simulated log-device latency per physical flush
           ({!Gist_wal.Log_manager.set_flush_delay_ns}); the commit-path
           analogue of [io_delay_ns]. *)
-  eviction_policy : Gist_storage.Buffer_pool.policy;
-      (** Buffer-pool victim selection: [Two_q] (default) is the
-          scan-resistant probationary/protected split; [Lru] is the plain
-          policy it replaced (kept for the E17 ablation and the
-          equivalence property test). *)
   bg_writer : bool;
       (** Run a background writer/checkpointer domain
           ({!Gist_storage.Bg_writer}) that keeps a clean-victim reserve in
@@ -103,7 +92,7 @@ type config = {
           predicate attaches, and make node deletes defer page scrubbing
           while snapshots are active. On by default; the read-write path
           (record locks + C2/C3 predicate machinery) is unaffected either
-          way. PROTOCOL.md §9; experiment E18. *)
+          way. PROTOCOL.md §9. *)
 }
 
 val default_config : config

@@ -1,26 +1,24 @@
-(** Multi-domain workload driver.
+(** Multi-domain transactional workload driver.
 
-    Spawns worker domains that repeatedly call an operation body until a
-    wall-clock deadline, with per-worker deterministic RNG streams and
-    deadlock-abort-retry handling, and aggregates throughput/latency. *)
+    Spawns worker domains that repeatedly run an operation body, each call
+    in its own transaction, until a wall-clock deadline, with per-worker
+    deterministic RNG streams and deadlock-abort-retry handling, and
+    aggregates throughput/latency. *)
 
 type stats = {
-  ops : int;
-  aborts : int;
+  ops : int;  (** Committed operations. *)
+  aborts : int;  (** Deadlock aborts, retried or not. *)
+  given_up : int;
+      (** Operations abandoned uncommitted after {!max_attempts} deadlock
+          aborts in a row; not counted in [ops]. *)
   elapsed_s : float;
   throughput : float;  (** Committed operations per second (all workers). *)
-  latency : Gist_util.Stats.Histogram.t;  (** Per-operation seconds. *)
+  latency : Gist_util.Stats.Histogram.t;
+      (** Seconds per committed operation, retries included. *)
 }
 
-val run :
-  domains:int ->
-  duration_s:float ->
-  seed:int ->
-  (worker:int -> rng:Gist_util.Xoshiro.t -> unit) ->
-  stats
-(** [run ~domains ~duration_s ~seed body] calls [body] in a loop from each
-    worker domain until the deadline. Each call is timed; exceptions from
-    [body] abort the measurement. *)
+val max_attempts : int
+(** Attempts one operation gets before it gives up. *)
 
 val run_txn_ops :
   db:Gist_core.Db.t ->
@@ -29,5 +27,8 @@ val run_txn_ops :
   seed:int ->
   (worker:int -> rng:Gist_util.Xoshiro.t -> txn:Gist_txn.Txn_manager.txn -> unit) ->
   stats
-(** Like {!run} but wraps each call in its own transaction, committing on
-    success and aborting + retrying (counted) on deadlock. *)
+(** [run_txn_ops ~db ~domains ~duration_s ~seed body] calls [body] in a
+    loop from each worker domain until the deadline, each call in its own
+    transaction: committed when [body] returns, aborted and retried
+    (counted) when it raises {!Gist_txn.Lock_manager.Deadlock}. Any other
+    exception aborts the measurement. *)

@@ -20,14 +20,8 @@ let section title =
   print_endline title;
   print_endline (String.make (String.length title) '=')
 
-let kv k v = Printf.printf "%-28s %s\n" (k ^ ":") v
-
 let f2 x = Printf.sprintf "%.2f" x
 
 let f0 x = Printf.sprintf "%.0f" x
 
 let i n = string_of_int n
-
-let metrics_json_line () =
-  Printf.sprintf {|{"metrics": %s}|}
-    (Gist_obs.Metrics.render_json (Gist_obs.Metrics.snapshot ()))

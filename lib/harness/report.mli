@@ -6,15 +6,6 @@ val table : header:string list -> string list list -> unit
 val section : string -> unit
 (** Print an experiment heading. *)
 
-val kv : string -> string -> unit
-(** Print an aligned "key: value" line. *)
-
 val f2 : float -> string
 val f0 : float -> string
 val i : int -> string
-
-val metrics_json_line : unit -> string
-(** One machine-parseable line, [{"metrics": {...}}], wrapping
-    {!Gist_obs.Metrics.render_json} over a fresh snapshot. Experiment
-    drivers print it after each run so per-run kernel counters land next
-    to the timing table in captured output. *)

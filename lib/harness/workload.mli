@@ -43,8 +43,8 @@ module Btree : sig
       {!mixed}; a write is a delete+reinsert pair at two independent
       uniform keys, so write transactions fault (and dirty) cold leaves
       instead of appending to the worker's cached tail leaf. Used by the
-      domain-scaling experiment, where write-side I/O is what a
-      tree-global latch serializes. *)
+      domain-scaling test ([test_scaling]), where write-side I/O is what
+      a tree-global latch serializes. *)
 
   val apply :
     Gist_ams.Btree_ext.t Gist_core.Gist.t -> Gist_txn.Txn_manager.txn -> op -> unit

@@ -58,15 +58,6 @@ let m_overflow =
        victims (evicting one would break the C1 no-I/O-under-latch invariant)"
     "bp.overflow_frame"
 
-type policy = Lru | Two_q
-
-let policy_of_string = function
-  | "lru" -> Lru
-  | "2q" -> Two_q
-  | s -> invalid_arg (Printf.sprintf "Buffer_pool.policy_of_string: %S (expected lru|2q)" s)
-
-let policy_to_string = function Lru -> "lru" | Two_q -> "2q"
-
 (* Who pays for a dirty write-back. [Fg] is the demand path — a user
    operation that had to evict; [Bg] covers the background flusher and
    administrative flushes (checkpoints, shutdown). *)
@@ -129,7 +120,6 @@ type t = {
   log_page_image : (Page_id.t -> Bytes.t -> int64) option;
   mutable fpw_on : bool; (* restart redo/undo masks full-page writes *)
   node_cache : bool;
-  policy : policy;
   (* Hooks into the background writer, installed by [Db.attach] after the
      writer domain starts. [bg_wake] nudges it out of its idle sleep;
      [bg_alive] answers whether it is running (a dead writer must never be
@@ -147,7 +137,7 @@ type t = {
 
 let n_shards = 16
 
-let create ?log_page_image ?(node_cache = true) ?(policy = Two_q) ~capacity ~disk ~force_log () =
+let create ?log_page_image ?(node_cache = true) ~capacity ~disk ~force_log () =
   if capacity < 4 then invalid_arg "Buffer_pool.create: capacity < 4";
   let per_shard = max 2 (capacity / n_shards) in
   {
@@ -169,7 +159,6 @@ let create ?log_page_image ?(node_cache = true) ?(policy = Two_q) ~capacity ~dis
     log_page_image;
     fpw_on = true;
     node_cache;
-    policy;
     bg_wake = (fun () -> ());
     bg_alive = (fun () -> false);
     tick = Atomic.make 0;
@@ -253,32 +242,6 @@ let invalidate_caches t =
 
 let touch t f = f.last_used <- Atomic.fetch_and_add t.tick 1
 
-(* Least-recently-used unpinned, non-loading frame of the shard. Shard
-   mutex held. *)
-let find_victim s =
-  let best = ref None in
-  List.iter
-    (fun f ->
-      if f.pin_count = 0 && not f.loading then
-        match !best with
-        | Some b when b.last_used <= f.last_used -> ()
-        | _ -> best := Some f)
-    s.frames;
-  !best
-
-(* Like [find_victim] but only clean frames: recycling one needs no
-   write-back, so a caller holding latches can evict it without I/O. *)
-let find_clean_victim s =
-  let best = ref None in
-  List.iter
-    (fun f ->
-      if f.pin_count = 0 && (not f.loading) && not f.dirty then
-        match !best with
-        | Some b when b.last_used <= f.last_used -> ()
-        | _ -> best := Some f)
-    s.frames;
-  !best
-
 (* 2Q/CLOCK victim. The probationary ring absorbs one-touch pages (bulk
    load, scan), but it is only drained FIRST while it holds more than its
    target share (the classic 2Q Kin ~ 25% rule). Below the target,
@@ -289,7 +252,7 @@ let find_clean_victim s =
    probe's fault-ins evict the previous probe's pages before their second
    access can promote them. Shard mutex held. *)
 
-(* A1out ghost bookkeeping (2Q only; shard mutex held). [ghost_add]
+(* A1out ghost bookkeeping (shard mutex held). [ghost_add]
    remembers a page id just evicted from the probationary tier — identity
    only, no content. [ghost_take] answers whether a faulting page was
    recently there, and forgets it: the re-fault is the second reference 2Q
@@ -318,7 +281,10 @@ let ghost_take s pid =
   end
   else false
 
-let find_victim_2q s ~clean_only =
+(* The 2Q/CLOCK victim described above. [clean_only] admits only clean
+   frames: recycling one needs no write-back, so a caller holding latches
+   can evict it without I/O. *)
+let find_victim s ~clean_only =
   let ok f =
     f.pin_count = 0 && (not f.loading) && ((not clean_only) || not f.dirty)
   in
@@ -360,11 +326,6 @@ let find_victim_2q s ~clean_only =
      ghost list (above) is what keeps this from starving promotion. *)
   match from_probation () with Some _ as v -> v | None -> from_protected ()
 
-let select_victim t s = match t.policy with Lru -> find_victim s | Two_q -> find_victim_2q s ~clean_only:false
-
-let select_clean_victim t s =
-  match t.policy with Lru -> find_clean_victim s | Two_q -> find_victim_2q s ~clean_only:true
-
 let note_io t =
   if Latch.held_by_self () > 0 then begin
     Atomic.incr t.io_latched;
@@ -395,7 +356,7 @@ let fault_in ?(prefetched = false) t s pid ~read_from_disk =
   (* A ghost hit is the page's second recent reference: install it
      protected. Prefetched pages never take this shortcut — a prefetch is
      the pool's guess, not the workload's reference. *)
-  let promote = t.policy = Two_q && (not prefetched) && ghost_take s pid in
+  let promote = (not prefetched) && ghost_take s pid in
   let f =
     {
       pid;
@@ -462,8 +423,8 @@ let recycle_victim t s victim pid ~read_from_disk ~origin =
      its one "reference" was the pool's guess, not the workload's, and
      ghosting it would let a streaming scan promote its whole footprint
      through the evict-then-demand-fault path. *)
-  if t.policy = Two_q && victim.tier = 0 && not victim.prefetched then ghost_add s old_pid;
-  let promote = t.policy = Two_q && ghost_take s pid in
+  if victim.tier = 0 && not victim.prefetched then ghost_add s old_pid;
+  let promote = ghost_take s pid in
   victim.loading <- true;
   victim.pin_count <- 1;
   Hashtbl.replace s.table (Page_id.to_int pid) victim;
@@ -525,9 +486,9 @@ let shrink_overflow t s =
   else begin
     let bg_live = t.bg_alive () in
     let victim =
-      match select_clean_victim t s with
+      match find_victim s ~clean_only:true with
       | Some _ as v -> v
-      | None -> if bg_live then None else select_victim t s
+      | None -> if bg_live then None else find_victim s ~clean_only:false
     in
     match victim with
     | None ->
@@ -544,7 +505,7 @@ let shrink_overflow t s =
       victim.loading <- true;
       victim.pin_count <- 1;
       let vpid = victim.pid and dirty = victim.dirty and image = victim.image in
-      if t.policy = Two_q && victim.tier = 0 && not victim.prefetched then ghost_add s vpid;
+      if victim.tier = 0 && not victim.prefetched then ghost_add s vpid;
       Mutex.unlock s.mutex;
       if dirty then write_back t Fg vpid image;
       Mutex.lock s.mutex;
@@ -633,11 +594,11 @@ let rec pin_general t pid ~read_from_disk =
       let bg_live = (not latched) && bg_alive in
       let victim =
         if latched_alloc then
-          match select_clean_victim t s with
+          match find_victim s ~clean_only:true with
           | Some _ as v -> v
-          | None -> if overflow_ok then None else select_victim t s
-        else if bg_live then select_clean_victim t s
-        else select_victim t s
+          | None -> if overflow_ok then None else find_victim s ~clean_only:false
+        else if bg_live then find_victim s ~clean_only:true
+        else find_victim s ~clean_only:false
       in
       match victim with
       | None when overflow_ok ->
@@ -851,7 +812,7 @@ let try_prefetch t pid =
         unpin t f
       end
       else begin
-        match select_clean_victim t s with
+        match find_victim s ~clean_only:true with
         | None -> Mutex.unlock s.mutex
         | Some victim ->
           Metrics.incr m_prefetch_issued;

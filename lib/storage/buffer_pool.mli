@@ -24,23 +24,9 @@ type frame
 (** One resident page: image bytes, latch, pin count, dirty state. A
     [frame] handle is only valid while its page is pinned by the holder. *)
 
-type policy = Lru | Two_q
-(** Eviction policy. [Lru] recycles the least-recently-used unpinned
-    frame. [Two_q] is scan-resistant: frames start in a probationary tier
-    on first touch and are promoted to a protected tier on re-reference;
-    victims come from the probationary tier first (so a one-pass scan or
-    bulk load evicts only its own pages), then by CLOCK second chance over
-    the protected tier. *)
-
-val policy_of_string : string -> policy
-(** ["lru"] or ["2q"]. @raise Invalid_argument otherwise. *)
-
-val policy_to_string : policy -> string
-
 val create :
   ?log_page_image:(Page_id.t -> Bytes.t -> int64) ->
   ?node_cache:bool ->
-  ?policy:policy ->
   capacity:int ->
   disk:Disk.t ->
   force_log:(int64 -> unit) ->
@@ -49,7 +35,12 @@ val create :
 (** [create ~capacity ~disk ~force_log ()] makes a pool of [capacity]
     frames. [force_log lsn] must make the log durable up to [lsn]; the
     pool calls it before any dirty page write (the WAL constraint).
-    [policy] (default [Two_q]) selects the eviction policy.
+
+    Eviction is scan-resistant 2Q: frames start in a probationary tier on
+    first touch and are promoted to a protected tier on re-reference;
+    victims come from the probationary tier first (so a one-pass scan or
+    bulk load evicts only its own pages), then by CLOCK second chance over
+    the protected tier.
 
     [log_page_image pid image], when given, must append a full-page-image
     record to the log and return its LSN; the pool calls it each time a
@@ -60,8 +51,8 @@ val create :
 
     [node_cache] (default [true]) enables the per-frame decoded-node
     cache ({!cached_node} and friends); when [false], installs are
-    no-ops and every lookup misses — the knob behind [Db.config.node_cache]
-    and experiment E13's on/off comparison. *)
+    no-ops and every lookup misses, which is how the canonical benchmark's
+    [micro.node_decode_ns] times a bare decode. *)
 
 val disk : t -> Disk.t
 (** The underlying disk (for allocation bookkeeping and direct checks). *)

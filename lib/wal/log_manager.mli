@@ -14,9 +14,9 @@
     from N domains never convoy on a mutex. [last_lsn], [durable_lsn],
     [read] and [iter_from] are plain atomic reads over published slots
     (§10.1's warning about a synchronized NSN counter no longer applies;
-    experiment E8 measures the alternatives, E14 the multi-domain
-    scaling). The internal mutex guards only structural cold paths (chunk
-    allocation, truncation, simulated crashes). *)
+    experiment E8 measures the alternatives). The internal mutex guards
+    only structural cold paths (chunk allocation, truncation, simulated
+    crashes). *)
 
 type t
 (** A log manager: the record slots, the publish and durability

@@ -1,10 +1,10 @@
-(* Larger-than-memory buffer management (E17's correctness half):
+(* Larger-than-memory buffer management:
 
-   - a qcheck equivalence property: the eviction policy is invisible to
-     tree contents — identical op histories through an Lru pool and a
-     Two_q pool end in identical trees;
-   - scan resistance: a full-tree scan through a 2Q pool must not evict
-     the protected hot set the way plain LRU does;
+   - a qcheck equivalence property: eviction is invisible to tree
+     contents — identical op histories through a tiny 2Q pool that must
+     evict and a pool that never evicts end in identical trees;
+   - scan resistance: a full-tree scan that faults more pages than the
+     pool holds must not evict the protected hot set;
    - the background writer keeps foreground eviction clean
      (bp.fg_writeback = 0) while the pool thrashes;
    - fuzzy checkpoints fire from the writer domain and recovery after a
@@ -49,20 +49,32 @@ let check_tree t =
   let report = Tree_check.check t in
   Alcotest.(check bool) (Format.asprintf "%a" Tree_check.pp report) true (Tree_check.ok report)
 
-(* --- policy equivalence: eviction order never changes tree contents --- *)
+(* --- eviction equivalence: evicting never changes tree contents ------ *)
 
-let test_policy_equivalence_qcheck =
-  QCheck.Test.make ~count:30 ~name:"Lru and Two_q pools end in identical trees"
-    QCheck.(small_list (pair (int_bound 600) bool))
+(* Big enough that the preloaded tree and any history fit without a single
+   eviction, in every shard. *)
+let roomy_config = { tiny_config with Db.pool_capacity = 4_096 }
+
+let test_eviction_equivalence_qcheck =
+  QCheck.Test.make ~count:30 ~name:"evicting pool matches a never-evicting pool"
+    QCheck.(small_list (pair (int_bound 1_200) bool))
     (fun ops ->
-      let run policy =
-        let config = { tiny_config with Db.eviction_policy = policy } in
+      let run config =
         let db, t = make_tree ~config () in
+        (* 600 preloaded even keys: far more pages than the tiny pool's 32
+           frames, so its side evicts (dirty pages included) before and
+           during the history. *)
+        let present = Hashtbl.create 1_024 in
+        let txn = Txn.begin_txn db.Db.txns in
+        for i = 0 to 599 do
+          Hashtbl.replace present (2 * i) ();
+          Gist.insert t txn ~key:(B.key (2 * i)) ~rid:(rid (2 * i))
+        done;
+        Txn.commit db.Db.txns txn;
         let txn = Txn.begin_txn db.Db.txns in
         (* Keep the history well-formed: no duplicate live (key, rid)
            inserts, no deletes of absent keys — the generator is free-form
            but the tree's contract is not. *)
-        let present = Hashtbl.create 64 in
         List.iter
           (fun (k, ins) ->
             if ins then begin
@@ -78,24 +90,31 @@ let test_policy_equivalence_qcheck =
           ops;
         Txn.commit db.Db.txns txn;
         let txn = Txn.begin_txn db.Db.txns in
-        let got = sorted_keys (Gist.search t txn (B.range 0 1_000)) in
+        let got = sorted_keys (Gist.search t txn (B.range 0 2_000)) in
         Txn.commit db.Db.txns txn;
-        (got, Tree_check.ok (Tree_check.check t))
+        let report = Tree_check.check t in
+        if not (Tree_check.ok report) then
+          QCheck.Test.fail_reportf "pool of %d frames: %a" config.Db.pool_capacity
+            Tree_check.pp report;
+        (got, Buffer_pool.evictions db.Db.pool)
       in
-      let lru, lru_ok = run Buffer_pool.Lru in
-      let two_q, two_q_ok = run Buffer_pool.Two_q in
-      lru_ok && two_q_ok && lru = two_q)
+      let tiny, tiny_evictions = run tiny_config in
+      let roomy, roomy_evictions = run roomy_config in
+      if tiny_evictions = 0 then QCheck.Test.fail_report "the tiny pool never evicted";
+      if roomy_evictions > 0 then
+        QCheck.Test.fail_reportf "the reference pool evicted %d frames" roomy_evictions;
+      tiny = roomy)
 
 (* --- scan resistance ------------------------------------------------- *)
 
 (* Warm a hot range until it is pool-resident, sweep the whole tree once,
    then re-probe the hot range and count the misses the sweep caused. *)
-let hot_misses_after_scan policy =
+let hot_misses_after_scan () =
   let config =
     (* Generous per-shard headroom: the pool is sharded, and a hot set
        that overloads one shard would miss for capacity reasons the
        policy cannot fix. *)
-    { tiny_config with Db.pool_capacity = 256; eviction_policy = policy }
+    { tiny_config with Db.pool_capacity = 256 }
   in
   let db, t = make_tree ~config ~n:4_000 () in
   let probe_hot txn = ignore (Gist.search t txn (B.range 1 200)) in
@@ -109,17 +128,17 @@ let hot_misses_after_scan policy =
   probe_hot txn;
   let warm_misses = Buffer_pool.misses db.Db.pool - m0 in
   let hot_pages = Buffer_pool.hits db.Db.pool - h0 + warm_misses in
+  let m_sweep = Buffer_pool.misses db.Db.pool in
   ignore (Gist.search t txn (B.range 0 10_000));
   let m1 = Buffer_pool.misses db.Db.pool in
   probe_hot txn;
   Txn.commit db.Db.txns txn;
   let after = Buffer_pool.misses db.Db.pool - m1 in
-  (warm_misses, after, hot_pages)
+  (warm_misses, m1 - m_sweep, config.Db.pool_capacity, after, hot_pages)
 
 let test_scan_resistance () =
   let saved0 = counter "bp.scan_resist_saved" in
-  let warm_2q, after_2q, hot_pages = hot_misses_after_scan Buffer_pool.Two_q in
-  let _, after_lru, _ = hot_misses_after_scan Buffer_pool.Lru in
+  let warm_2q, sweep_misses, capacity, after_2q, hot_pages = hot_misses_after_scan () in
   (* Sharding skews residency a little; the hot set must be essentially
      resident, not perfectly so. *)
   Alcotest.(check bool)
@@ -127,9 +146,10 @@ let test_scan_resistance () =
     true
     (warm_2q * 10 < hot_pages);
   Alcotest.(check bool)
-    (Printf.sprintf "scan evicts the LRU hot set (%d/%d misses)" after_lru hot_pages)
+    (Printf.sprintf "the sweep alone faults more pages than the pool holds (%d > %d)"
+       sweep_misses capacity)
     true
-    (after_lru > hot_pages / 2);
+    (sweep_misses > capacity);
   Alcotest.(check bool)
     (Printf.sprintf "2Q keeps the hot set >90%% resident (%d/%d misses)" after_2q hot_pages)
     true
@@ -257,7 +277,7 @@ let test_crash_fuzz_bg () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest test_policy_equivalence_qcheck;
+    QCheck_alcotest.to_alcotest test_eviction_equivalence_qcheck;
     Alcotest.test_case "scan resistance: 2Q protects the hot set" `Quick test_scan_resistance;
     Alcotest.test_case "bg writer: foreground eviction stays clean" `Quick
       test_bg_writer_clean_foreground;

@@ -10,9 +10,10 @@ let config =
   { Db.default_config with Db.max_entries = 8; pool_capacity = 128; page_size = 1024 }
 
 let test_driver_counts_and_duration () =
+  let db = Db.create ~config () in
   let counter = Atomic.make 0 in
   let stats =
-    Driver.run ~domains:2 ~duration_s:0.2 ~seed:1 (fun ~worker:_ ~rng:_ ->
+    Driver.run_txn_ops ~db ~domains:2 ~duration_s:0.2 ~seed:1 (fun ~worker:_ ~rng:_ ~txn:_ ->
         Atomic.incr counter)
   in
   Alcotest.(check int) "driver ops = body invocations" (Atomic.get counter) stats.Driver.ops;
@@ -26,11 +27,12 @@ let test_driver_counts_and_duration () =
 
 let test_driver_rng_streams_deterministic () =
   (* Same seed -> same per-worker streams (first value recorded). *)
+  let db = Db.create ~config () in
   let capture () =
     let seen = Array.make 2 0L in
     let once = Array.make 2 false in
     ignore
-      (Driver.run ~domains:2 ~duration_s:0.05 ~seed:42 (fun ~worker ~rng ->
+      (Driver.run_txn_ops ~db ~domains:2 ~duration_s:0.05 ~seed:42 (fun ~worker ~rng ~txn:_ ->
            if not once.(worker) then begin
              once.(worker) <- true;
              seen.(worker) <- Gist_util.Xoshiro.next64 rng
@@ -61,6 +63,25 @@ let test_driver_txn_retry () =
   let txn = Txn.begin_txn db.Db.txns in
   Alcotest.(check int) "no lost keys" 50 (List.length (Gist.search t txn (B.range 0 49)));
   Txn.commit db.Db.txns txn
+
+let test_driver_gives_up_uncommitted () =
+  (* An operation that deadlocks on every attempt gives up without a
+     commit: it is not a committed operation. *)
+  let db = Db.create ~config () in
+  (* Opening a tree installs the undo handler that [Txn.abort] needs. *)
+  ignore (Gist.create db B.ext ~empty_bp:B.Empty ());
+  let stats =
+    Driver.run_txn_ops ~db ~domains:1 ~duration_s:0.05 ~seed:3 (fun ~worker:_ ~rng:_ ~txn ->
+        raise (Gist_txn.Lock_manager.Deadlock (Txn.id txn)))
+  in
+  Alcotest.(check int) "no committed ops" 0 stats.Driver.ops;
+  Alcotest.(check bool) "the attempts gave up" true (stats.Driver.given_up > 0);
+  Alcotest.(check int) "every attempt aborted"
+    (stats.Driver.given_up * Driver.max_attempts)
+    stats.Driver.aborts;
+  Alcotest.(check (float 0.0)) "zero throughput" 0.0 stats.Driver.throughput;
+  Alcotest.(check int) "no latency samples" 0
+    (Gist_util.Stats.Histogram.count stats.Driver.latency)
 
 let test_workload_generator_contracts () =
   let rng = Gist_util.Xoshiro.create 5 in
@@ -117,4 +138,5 @@ let suite =
     Alcotest.test_case "workload generator contracts" `Quick test_workload_generator_contracts;
     Alcotest.test_case "workload apply" `Quick test_workload_apply_runs;
     Alcotest.test_case "rtree workload" `Quick test_rtree_workload;
+    Alcotest.test_case "driver gives up uncommitted" `Quick test_driver_gives_up_uncommitted;
   ]

@@ -6,8 +6,8 @@
    coherence (the cached node always fingerprints equal to a fresh decode
    of the image), invalidation at restart (recovery redo mutates raw
    images, so no pre-restart decode may survive [Recovery.restart]), and
-   effectiveness (repeat traversals hit; the [node_cache=false] knob
-   really disables it). *)
+   effectiveness (repeat traversals hit; a pool created with
+   [~node_cache:false] really has none). *)
 
 open Gist_core
 module B = Gist_ams.Btree_ext
@@ -187,19 +187,30 @@ let test_hit_rate () =
     (float_of_int hits /. float_of_int (hits + misses) > 0.9)
 
 let test_cache_off () =
-  let db = Db.create ~config:{ config with Db.node_cache = false } () in
-  let t = Gist.create db B.ext ~empty_bp:B.Empty () in
-  let txn = Txn.begin_txn db.Db.txns in
-  for i = 1 to 100 do
-    Gist.insert t txn ~key:(B.key i) ~rid:(rid i)
-  done;
-  Txn.commit db.Db.txns txn;
-  let h0 = counter "bp.node_cache.hit" in
+  (* One formatted leaf page in a bare pool, with the decoded node
+     installed through [cache_node]. *)
+  let frame_with_cached_node ~node_cache =
+    let disk = Gist_storage.Disk.create ~page_size:1024 () in
+    let pool = Buffer_pool.create ~node_cache ~capacity:8 ~disk ~force_log:ignore () in
+    let frame = Buffer_pool.pin_new pool (Page_id.of_int 1) in
+    let node = Node.make_leaf ~id:(Page_id.of_int 1) ~bp:(B.range 0 100) in
+    Node.write B.ext node frame;
+    Buffer_pool.cache_node frame (Obj.repr node);
+    frame
+  in
+  Alcotest.(check bool) "control: the default pool serves the installed node" true
+    (Option.is_some (Buffer_pool.cached_node (frame_with_cached_node ~node_cache:true)));
+  let frame = frame_with_cached_node ~node_cache:false in
+  Alcotest.(check bool) "cache_node is a no-op: cached_node is None" true
+    (Option.is_none (Buffer_pool.cached_node frame));
+  let h0 = counter "bp.node_cache.hit" and m0 = counter "bp.node_cache.miss" in
   for _ = 1 to 5 do
-    ignore (keys_of t db)
+    ignore (Node.get B.ext frame)
   done;
-  Alcotest.(check int) "node_cache=false never hits" h0 (counter "bp.node_cache.hit");
-  Alcotest.(check (list int)) "results unchanged" (List.init 100 (fun i -> i + 1)) (keys_of t db)
+  Alcotest.(check int) "Node.get never hits" h0 (counter "bp.node_cache.hit");
+  Alcotest.(check bool) "every Node.get decodes" true (counter "bp.node_cache.miss" - m0 >= 5);
+  Alcotest.(check bool) "Node.get installs nothing" true
+    (Option.is_none (Buffer_pool.cached_node frame))
 
 (* --- eviction recycles the cache with the frame --- *)
 
